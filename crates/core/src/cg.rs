@@ -15,11 +15,16 @@
 //! updates are control-plane, matching the paper's protection assumption.
 
 use crate::error::CoreError;
-use crate::trace::Trace;
 use robustify_linalg::{LinearOperator, Matrix};
 use stochastic_fpu::{Fpu, FpuExt, ReliableFpu};
 
 /// The outcome of a conjugate gradient solve.
+///
+/// The report carries no per-iteration cost history: sampling the cost
+/// would cost one reliable `A·x` per iteration on top of the solve's own
+/// products. The iteration loop reads its budget only to stop, so the
+/// cost after `k` iterations is the `final_cost` of the same solve with
+/// [`with_max_iterations(k)`](CgLeastSquares::with_max_iterations).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CgReport {
     /// The final iterate.
@@ -32,10 +37,9 @@ pub struct CgReport {
     pub flops: u64,
     /// Faults injected during the solve.
     pub faults: u64,
-    /// Final residual cost `‖A x − b‖²`, measured reliably.
+    /// Final residual cost `‖A x − b‖²`, measured reliably once, after
+    /// the last iteration (its FLOPs are not charged to the provided FPU).
     pub final_cost: f64,
-    /// Reliable residual-cost samples, one per iteration.
-    pub trace: Trace,
 }
 
 /// Conjugate gradient for `min ‖A x − b‖²` on a stochastic processor.
@@ -178,12 +182,9 @@ impl<'a, M: LinearOperator> CgLeastSquares<'a, M> {
         let n = self.a.cols();
         assert_eq!(x0.len(), n, "initial iterate has the wrong dimension");
         let snapshot = fpu.snapshot();
-        let mut measure = ReliableFpu::new();
-        let mut trace = Trace::new(1);
 
         let mut x = x0.to_vec();
         let (mut r, mut p, mut gamma) = self.restart_state(&x, fpu);
-        trace.record(0, self.reliable_cost(&x, &mut measure));
 
         let mut iterations = 0;
         let mut restarts = 0;
@@ -249,10 +250,9 @@ impl<'a, M: LinearOperator> CgLeastSquares<'a, M> {
             }
             gamma = gamma_new;
             iterations = t;
-            trace.record(t, self.reliable_cost(&x, &mut measure));
         }
 
-        let final_cost = self.reliable_cost(&x, &mut measure);
+        let final_cost = self.reliable_cost(&x);
         CgReport {
             x,
             iterations,
@@ -260,7 +260,6 @@ impl<'a, M: LinearOperator> CgLeastSquares<'a, M> {
             flops: snapshot.flops_since(fpu),
             faults: snapshot.faults_since(fpu),
             final_cost,
-            trace,
         }
     }
 
@@ -295,10 +294,11 @@ impl<'a, M: LinearOperator> CgLeastSquares<'a, M> {
         }
     }
 
-    fn reliable_cost(&self, x: &[f64], measure: &mut ReliableFpu) -> f64 {
-        let ax = self.a.matvec(measure, x).expect("x has n entries");
+    fn reliable_cost(&self, x: &[f64]) -> f64 {
+        let mut measure = ReliableFpu::new();
+        let ax = self.a.matvec(&mut measure, x).expect("x has n entries");
         let r: Vec<f64> = self.b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-        robustify_linalg::norm2_sq(measure, &r)
+        robustify_linalg::norm2_sq(&mut measure, &r)
     }
 }
 
@@ -344,11 +344,19 @@ mod tests {
     }
 
     #[test]
-    fn trace_is_monotone_decreasing_reliable() {
+    fn cost_is_monotone_decreasing_in_the_budget_reliable() {
         let (a, b) = tall_system();
-        let solver = CgLeastSquares::new(&a, &b).expect("consistent");
-        let report = solver.solve(&[0.0; 3], &mut ReliableFpu::new());
-        let costs: Vec<f64> = report.trace.entries().iter().map(|&(_, c)| c).collect();
+        // The cost after k iterations is the final cost of a budget-k
+        // solve (the loop reads the budget only to stop).
+        let costs: Vec<f64> = (0..=5)
+            .map(|k| {
+                CgLeastSquares::new(&a, &b)
+                    .expect("consistent")
+                    .with_max_iterations(k)
+                    .solve(&[0.0; 3], &mut ReliableFpu::new())
+                    .final_cost
+            })
+            .collect();
         for w in costs.windows(2) {
             assert!(w[1] <= w[0] + 1e-12, "cost increased: {:?}", costs);
         }
@@ -418,7 +426,7 @@ mod tests {
     fn identity_preconditioner_is_bitwise_unpreconditioned() {
         let (a, b) = tall_system();
         // diag = 1 inverts to 1, so z = s·1 reproduces s exactly; the whole
-        // report (iterates, trace, FLOP/fault counters) must be identical,
+        // report (iterates, final cost, FLOP/fault counters) must be identical,
         // fault schedule included.
         for seed in [0, 5, 11] {
             let solve = |jacobi: bool| {

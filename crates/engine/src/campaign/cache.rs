@@ -6,6 +6,7 @@ use robustify_core::Verdict;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use stochastic_fpu::json::{self, fnv1a_64, JsonValue};
 
 /// A directory of per-cell checkpoint files.
@@ -27,6 +28,10 @@ use stochastic_fpu::json::{self, fnv1a_64, JsonValue};
 ///
 /// Writes go through a temp file + atomic rename, so a campaign killed
 /// mid-write never leaves a torn entry — at worst the cell is re-run.
+/// Every write gets its own temp name (process id + per-process counter),
+/// so concurrent stores of one key — two connections missing the same
+/// cell — never share a temp file; the last rename wins, and both wrote
+/// the same bytes.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
@@ -117,7 +122,13 @@ impl ResultCache {
         doc.push_str("]}");
 
         let final_path = self.path_for(key_json);
-        let tmp_path = self.dir.join(format!("{}.tmp", Self::file_name(key_json)));
+        static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+        let tmp_path = self.dir.join(format!(
+            "{}.{}.{}.tmp",
+            Self::file_name(key_json),
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
+        ));
         {
             let mut tmp = fs::File::create(&tmp_path)?;
             tmp.write_all(doc.as_bytes())?;
@@ -222,6 +233,35 @@ mod tests {
         let content = fs::read_to_string(&path).expect("read");
         fs::write(&path, &content[..content.len() / 2]).expect("truncate");
         assert!(cache.load(torn).is_none(), "torn entry must not replay");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_key_all_succeed() {
+        let dir = temp_dir("concurrent");
+        let cache = ResultCache::open(&dir).expect("open");
+        let key = "{\"cell\":\"shared\"}";
+        let records = sample_records();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        cache.store(key, &records).expect("concurrent store");
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.load(key).expect("hit"), records);
+        let names: Vec<_> = fs::read_dir(&dir)
+            .expect("read dir")
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(
+            names,
+            [ResultCache::file_name(key).as_str()],
+            "no temp file left behind"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -35,6 +35,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use stochastic_fpu::json::{self, escape, JsonValue};
 
+/// Sends one protocol line as a single `write_all` of the line and its
+/// `\n`, then flushes. A line split over several writes would let
+/// Nagle's algorithm hold its tail on a TCP stream until the peer's
+/// delayed ACK (~40 ms per event).
+fn send_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut bytes = Vec::with_capacity(line.len() + 1);
+    bytes.extend_from_slice(line.as_bytes());
+    bytes.push(b'\n');
+    writer.write_all(&bytes)?;
+    writer.flush()
+}
+
 fn error_event(message: &str) -> String {
     format!(
         "{{\"event\":\"error\",\"message\":\"{}\"}}",
@@ -65,22 +77,23 @@ fn handle_submit<'env>(
 ) -> io::Result<()> {
     let campaign = match request.get("campaign") {
         Some(v) => v,
-        None => return writeln!(writer, "{}", error_event("submit needs a \"campaign\"")),
+        None => return send_line(writer, &error_event("submit needs a \"campaign\"")),
     };
     let spec = match CampaignSpec::from_json_value(campaign) {
         Ok(spec) => spec,
-        Err(e) => return writeln!(writer, "{}", error_event(&e)),
+        Err(e) => return send_line(writer, &error_event(&e)),
     };
     if let Err(e) = spec.validate() {
-        return writeln!(writer, "{}", error_event(&e));
+        return send_line(writer, &error_event(&e));
     }
-    writeln!(
+    send_line(
         writer,
-        "{{\"event\":\"accepted\",\"name\":\"{}\",\"cells\":{}}}",
-        escape(spec.name()),
-        spec.jobs().len() * spec.rates_pct().len(),
+        &format!(
+            "{{\"event\":\"accepted\",\"name\":\"{}\",\"cells\":{}}}",
+            escape(spec.name()),
+            spec.jobs().len() * spec.rates_pct().len(),
+        ),
     )?;
-    writer.flush()?;
 
     // Stream cell events as the runner finishes them; write failures are
     // remembered and surfaced after the run (the run itself keeps its
@@ -90,7 +103,7 @@ fn handle_submit<'env>(
         if stream_error.is_some() {
             return;
         }
-        if let Err(e) = writeln!(writer, "{}", cell_event(update)).and_then(|()| writer.flush()) {
+        if let Err(e) = send_line(writer, &cell_event(update)) {
             stream_error = Some(e);
         }
     };
@@ -102,9 +115,9 @@ fn handle_submit<'env>(
         return Err(e);
     }
     match outcome {
-        Ok(run) => {
-            writeln!(
-                writer,
+        Ok(run) => send_line(
+            writer,
+            &format!(
                 "{{\"event\":\"done\",\"name\":\"{}\",\"cells\":{},\"cached\":{},\
                  \"csv\":\"{}\",\"json\":\"{}\"}}",
                 escape(run.result.name()),
@@ -112,11 +125,10 @@ fn handle_submit<'env>(
                 run.cells_cached,
                 escape(&run.result.to_csv()),
                 escape(&run.result.to_json()),
-            )?;
-        }
-        Err(e) => writeln!(writer, "{}", error_event(&e))?,
+            ),
+        ),
+        Err(e) => send_line(writer, &error_event(&e)),
     }
-    writer.flush()
 }
 
 /// Serves one line-delimited JSON connection (stdio or a TCP stream)
@@ -160,16 +172,12 @@ fn serve_connection_impl<'env>(
         let request = match json::parse(&line) {
             Ok(v) => v,
             Err(e) => {
-                writeln!(writer, "{}", error_event(&e.to_string()))?;
-                writer.flush()?;
+                send_line(writer, &error_event(&e.to_string()))?;
                 continue;
             }
         };
         match request.get("op").and_then(JsonValue::as_str) {
-            Some("ping") => {
-                writeln!(writer, "{{\"event\":\"pong\"}}")?;
-                writer.flush()?;
-            }
+            Some("ping") => send_line(writer, "{\"event\":\"pong\"}")?,
             Some("workloads") => {
                 let names = registry
                     .names()
@@ -177,23 +185,20 @@ fn serve_connection_impl<'env>(
                     .map(|n| format!("\"{}\"", escape(n)))
                     .collect::<Vec<_>>()
                     .join(",");
-                writeln!(writer, "{{\"event\":\"workloads\",\"names\":[{names}]}}")?;
-                writer.flush()?;
+                send_line(
+                    writer,
+                    &format!("{{\"event\":\"workloads\",\"names\":[{names}]}}"),
+                )?;
             }
             Some("submit") => handle_submit(&request, writer, registry, cache, pool)?,
             Some("shutdown") => {
-                writeln!(writer, "{{\"event\":\"bye\"}}")?;
-                writer.flush()?;
+                send_line(writer, "{\"event\":\"bye\"}")?;
                 return Ok(true);
             }
-            _ => {
-                writeln!(
-                    writer,
-                    "{}",
-                    error_event("\"op\" must be ping, workloads, submit, or shutdown")
-                )?;
-                writer.flush()?;
-            }
+            _ => send_line(
+                writer,
+                &error_event("\"op\" must be ping, workloads, submit, or shutdown"),
+            )?,
         }
     }
     Ok(false)
@@ -230,6 +235,10 @@ pub fn serve_tcp(
                     let pool = &pool;
                     handlers.push(scope.spawn(move || {
                         let _ = stream.set_nonblocking(false);
+                        // Events are small request/response lines: send
+                        // each one now instead of coalescing it with the
+                        // next (Nagle) while the client delays its ACK.
+                        let _ = stream.set_nodelay(true);
                         let mut reader = BufReader::new(match stream.try_clone() {
                             Ok(s) => s,
                             Err(_) => return,
@@ -283,12 +292,10 @@ pub fn submit_over(
     campaign: &CampaignSpec,
     mut on_event: impl FnMut(&str),
 ) -> Result<ClientOutcome, String> {
-    writeln!(
+    send_line(
         writer,
-        "{{\"op\":\"submit\",\"campaign\":{}}}",
-        campaign.to_json()
+        &format!("{{\"op\":\"submit\",\"campaign\":{}}}", campaign.to_json()),
     )
-    .and_then(|()| writer.flush())
     .map_err(|e| format!("send failed: {e}"))?;
     for line in reader.lines() {
         let line = line.map_err(|e| format!("read failed: {e}"))?;
@@ -359,9 +366,7 @@ pub fn shutdown_tcp(addr: &str) -> Result<(), String> {
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("clone stream: {e}"))?;
-    writeln!(writer, "{{\"op\":\"shutdown\"}}")
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("send failed: {e}"))?;
+    send_line(&mut writer, "{\"op\":\"shutdown\"}").map_err(|e| format!("send failed: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader
@@ -484,6 +489,80 @@ mod tests {
         assert!(
             events[0].starts_with("{\"event\":\"error\""),
             "got {events:?}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_rates_are_rejected_before_accepted() {
+        let reg = registry();
+        let spec = campaign().rates(vec![10.0, 150.0]);
+        let request = format!("{{\"op\":\"submit\",\"campaign\":{}}}\n", spec.to_json());
+        let (events, _) = serve_lines(&request, &reg);
+        assert_eq!(events.len(), 1, "got {events:?}");
+        assert!(events[0].starts_with("{\"event\":\"error\""));
+        assert!(events[0].contains("[0, 100]"), "got {events:?}");
+    }
+
+    /// A writer that records where each `write` call starts and ends.
+    #[derive(Default)]
+    struct RecordingWriter {
+        bytes: Vec<u8>,
+        writes: Vec<std::ops::Range<usize>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let start = self.bytes.len();
+            self.bytes.extend_from_slice(buf);
+            self.writes.push(start..self.bytes.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every event leaves in one write carrying exactly one complete line,
+    /// so no TCP segment holds a partial event for Nagle to delay.
+    #[test]
+    fn every_event_is_one_write_of_one_complete_line() {
+        let reg = registry();
+        let input = format!(
+            "{{\"op\":\"ping\"}}\n{{\"op\":\"workloads\"}}\nnot json\n\
+             {{\"op\":\"submit\",\"campaign\":{}}}\n{{\"op\":\"shutdown\"}}\n",
+            campaign().to_json()
+        );
+        let mut reader = Cursor::new(input.into_bytes());
+        let mut writer = RecordingWriter::default();
+        let shutdown = serve_connection(&mut reader, &mut writer, &reg, None).expect("serve");
+        assert!(shutdown);
+        let mut kinds = Vec::new();
+        for range in &writer.writes {
+            let chunk = std::str::from_utf8(&writer.bytes[range.clone()]).expect("utf8");
+            assert!(
+                chunk.ends_with('\n') && chunk.matches('\n').count() == 1,
+                "write is not one whole line: {chunk:?}"
+            );
+            let event = json::parse(chunk.trim_end()).expect("event parses");
+            let kind = event
+                .get("event")
+                .and_then(JsonValue::as_str)
+                .expect("kind");
+            kinds.push(kind.to_string());
+        }
+        assert_eq!(
+            kinds,
+            [
+                "pong",
+                "workloads",
+                "error",
+                "accepted",
+                "cell",
+                "cell",
+                "done",
+                "bye"
+            ]
         );
     }
 

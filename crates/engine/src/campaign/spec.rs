@@ -335,8 +335,9 @@ impl CampaignSpec {
         &self.jobs
     }
 
-    /// Structural validation: a runnable campaign has a non-empty grid,
-    /// positive trials, at least one job, and distinct job labels.
+    /// Structural validation: a runnable campaign has a non-empty grid of
+    /// rates in [0, 100] % of FLOPs, positive trials, at least one job,
+    /// and distinct job labels.
     /// (Workload names are checked against the registry at resolution
     /// time, since only the daemon knows its registry.)
     pub fn validate(&self) -> Result<(), String> {
@@ -354,8 +355,12 @@ impl CampaignSpec {
             }
         }
         for &r in &self.rates_pct {
-            if !(r >= 0.0 && r.is_finite()) {
-                return Err(format!("fault rate must be finite and >= 0, got {r}"));
+            // `FaultRate::percent_of_flops` panics outside [0, 100]; reject
+            // here, before a daemon answers `accepted`.
+            if !(0.0..=100.0).contains(&r) {
+                return Err(format!(
+                    "fault rate must be in [0, 100] % of FLOPs, got {r}"
+                ));
             }
         }
         if self.trials == 0 && self.jobs.iter().any(|j| j.trials.is_none()) {
@@ -544,6 +549,21 @@ mod tests {
             .job(JobSpec::new("a", "w"))
             .job(JobSpec::new("a", "w2"));
         assert!(dup.validate().unwrap_err().contains("duplicate"));
+        for bad in [-1.0, 100.5, 150.0, f64::NAN, f64::INFINITY] {
+            let rate = CampaignSpec::new("x")
+                .rates(vec![1.0, bad])
+                .trials(5)
+                .job(JobSpec::new("a", "w"));
+            assert!(
+                rate.validate().unwrap_err().contains("[0, 100]"),
+                "rate {bad} accepted"
+            );
+        }
+        let edges = CampaignSpec::new("x")
+            .rates(vec![0.0, 100.0])
+            .trials(5)
+            .job(JobSpec::new("a", "w"));
+        edges.validate().expect("0 % and 100 % are valid rates");
         // A zero campaign trial count is fine when every job overrides it.
         let per_job = CampaignSpec::new("x")
             .rates(vec![1.0])

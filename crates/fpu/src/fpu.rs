@@ -311,6 +311,61 @@ pub trait Fpu {
         }
     }
 
+    /// [`with_exact_windows`](Self::with_exact_windows) for items of
+    /// variable FLOP cost — the skeleton of row-structured kernels such as
+    /// sparse matrix–vector products, where one item is a whole row.
+    ///
+    /// `cost(i)` is item `i`'s FLOP count on the fast lane, or `None` for
+    /// an item that must never be batched (e.g. a row long enough to take
+    /// the lane-split reduction, whose fast-lane expansion is its own
+    /// kernel's business). Per step the skeleton asks
+    /// [`run_exact`](Self::run_exact) once for everything that remains,
+    /// passes `body(fpu, range, true)` the longest run of whole items
+    /// whose summed cost fits that window, and commits the run with a
+    /// single [`commit_exact`](Self::commit_exact). The item that ends
+    /// the run — the one the window ends inside of, or a never-batch
+    /// item — then goes through `body(fpu, i..i + 1, false)` and its
+    /// per-op expansion on `fpu`. A zero window skips the scan and goes
+    /// straight to the per-item call, so specs that never grant a window
+    /// pay one `run_exact` per item and nothing else.
+    ///
+    /// As with [`with_exact_windows`](Self::with_exact_windows), an
+    /// `exact` body computes natively and does **not** touch `fpu`; the
+    /// per-item body may call any batch kernel, which opens its own
+    /// windows inside the item.
+    fn with_exact_item_windows<C, B>(&mut self, n: usize, mut cost: C, mut body: B)
+    where
+        Self: Sized,
+        C: FnMut(usize) -> Option<u64>,
+        B: FnMut(&mut Self, core::ops::Range<usize>, bool),
+    {
+        let mut i = 0;
+        while i < n {
+            let window = self.run_exact(u64::MAX);
+            let (mut end, mut used) = (i, 0u64);
+            if window > 0 {
+                while end < n {
+                    match cost(end) {
+                        Some(c) if c <= window - used => {
+                            used += c;
+                            end += 1;
+                        }
+                        _ => break,
+                    }
+                }
+            }
+            if end > i {
+                body(self, i..end, true);
+                self.commit_exact(used);
+                i = end;
+            }
+            if i < n {
+                body(self, i..i + 1, false);
+                i += 1;
+            }
+        }
+    }
+
     /// Inner product with an initial accumulator: one row of a
     /// matrix–vector product, `init + Σᵢ row[i]·x[i]`.
     ///
@@ -1600,6 +1655,135 @@ mod tests {
         assert_eq!(bits(&yf), bits(&ys));
         assert_eq!(fast.flops(), slow.flops());
         assert_eq!(fast.stats(), slow.stats());
+    }
+
+    /// Item costs for the variable-cost skeleton tests: mixed sizes, zero
+    /// cost items, and never-batch items (`None`, which run 4 ops).
+    const ITEM_COSTS: [Option<u64>; 12] = [
+        Some(3),
+        Some(0),
+        Some(5),
+        None,
+        Some(2),
+        Some(7),
+        Some(1),
+        Some(0),
+        None,
+        Some(6),
+        Some(4),
+        Some(9),
+    ];
+
+    /// Item `i` is a chain of `cost` adds from `acc = i`; the exact body
+    /// computes it natively, the per-item body through `fpu`.
+    fn run_items<F: Fpu>(fpu: &mut F, log: &mut Vec<(core::ops::Range<usize>, bool)>) -> Vec<f64> {
+        let ops = |i: usize| ITEM_COSTS[i].unwrap_or(4);
+        let mut out = vec![0.0; ITEM_COSTS.len()];
+        fpu.with_exact_item_windows(
+            ITEM_COSTS.len(),
+            |i| ITEM_COSTS[i],
+            |fpu, range, exact| {
+                log.push((range.clone(), exact));
+                for i in range {
+                    let mut acc = i as f64;
+                    for k in 0..ops(i) {
+                        let term = 0.5 + k as f64;
+                        acc = if exact {
+                            acc + term
+                        } else {
+                            fpu.add(acc, term)
+                        };
+                    }
+                    out[i] = acc;
+                }
+            },
+        );
+        out
+    }
+
+    /// The per-op reference: every item's chain through `execute`.
+    fn items_per_op(fpu: &mut NoisyFpu) -> Vec<f64> {
+        (0..ITEM_COSTS.len())
+            .map(|i| {
+                let mut acc = i as f64;
+                for k in 0..ITEM_COSTS[i].unwrap_or(4) {
+                    acc = fpu.add(acc, 0.5 + k as f64);
+                }
+                acc
+            })
+            .collect()
+    }
+
+    #[test]
+    fn item_windows_match_per_op_execution_with_mixed_costs() {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut saw_partial_window = false;
+        for (rate, seed) in [(0.0, 1), (0.02, 4), (0.1, 7), (0.3, 2), (1.0, 5)] {
+            let mut batched =
+                NoisyFpu::new(FaultRate::per_flop(rate), BitFaultModel::emulated(), seed);
+            let mut scalar = batched.clone();
+            let mut log = Vec::new();
+            let a = run_items(&mut batched, &mut log);
+            let b = items_per_op(&mut scalar);
+            assert_eq!(bits(&a), bits(&b), "rate {rate}");
+            assert_eq!(batched.flops(), scalar.flops(), "rate {rate}");
+            assert_eq!(batched.stats(), scalar.stats(), "rate {rate}");
+            let ta: Vec<u64> = (0..64)
+                .map(|i| batched.add(i as f64, 0.5).to_bits())
+                .collect();
+            let tb: Vec<u64> = (0..64)
+                .map(|i| scalar.add(i as f64, 0.5).to_bits())
+                .collect();
+            assert_eq!(ta, tb, "rate {rate}: post-skeleton streams diverge");
+
+            // The calls cover every item once, in order; exact runs never
+            // hold a never-batch item; per-item calls hold one item.
+            let mut next = 0;
+            for (range, exact) in &log {
+                assert_eq!(range.start, next, "rate {rate}: {log:?}");
+                next = range.end;
+                if *exact {
+                    assert!(range.clone().all(|i| ITEM_COSTS[i].is_some()));
+                } else {
+                    assert_eq!(range.len(), 1);
+                    saw_partial_window |= ITEM_COSTS[range.start].is_some_and(|c| c > 0);
+                }
+            }
+            assert_eq!(next, ITEM_COSTS.len());
+        }
+        assert!(
+            saw_partial_window,
+            "some window must end inside a batchable item"
+        );
+    }
+
+    #[test]
+    fn item_windows_split_only_at_never_batch_items_when_reliable() {
+        let mut log = Vec::new();
+        let mut fpu = ReliableFpu::new();
+        run_items(&mut fpu, &mut log);
+        assert_eq!(
+            log,
+            vec![
+                (0..3, true),
+                (3..4, false),
+                (4..8, true),
+                (8..9, false),
+                (9..12, true)
+            ]
+        );
+        let ops: u64 = ITEM_COSTS.iter().map(|c| c.unwrap_or(4)).sum();
+        assert_eq!(fpu.flops(), ops);
+    }
+
+    #[test]
+    fn zero_window_runs_every_item_through_the_per_item_path() {
+        let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.05), BitFaultModel::emulated(), 3);
+        fpu.set_batching(false);
+        let mut log = Vec::new();
+        run_items(&mut fpu, &mut log);
+        let expected: Vec<_> = (0..ITEM_COSTS.len()).map(|i| (i..i + 1, false)).collect();
+        assert_eq!(log, expected);
     }
 
     #[test]

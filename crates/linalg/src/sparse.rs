@@ -4,13 +4,19 @@
 //! Structural operations (triplet assembly, gathers and scatters of vector
 //! entries, dense round-trips) use native arithmetic: they move data
 //! without computing on it. The numerical products route every multiply
-//! and add through an [`Fpu`](stochastic_fpu::Fpu), reusing the proven
-//! batch kernels ([`Fpu::gemv_row`](stochastic_fpu::Fpu::gemv_row),
-//! [`Fpu::gemv_t_row`](stochastic_fpu::Fpu::gemv_t_row)) built on the
-//! `run_exact`/`commit_exact` window API — so a row's stored nonzeros run
-//! as one fault-free `chunks_exact` microkernel wherever the countdown
-//! permits, fall back to the per-op strike lane at window boundaries, and
-//! stay bit-identical to scalar dispatch at every fault rate.
+//! and add through an [`Fpu`](stochastic_fpu::Fpu) and walk their rows
+//! through [`Fpu::with_exact_item_windows`](stochastic_fpu::Fpu::with_exact_item_windows),
+//! the variable-cost window skeleton of the `run_exact`/`commit_exact`
+//! API: every span of whole rows that fits one fault-free window runs as
+//! a gather-free native loop over the stored entries with a single
+//! commit, and only the row a window ends inside of takes the per-row
+//! batch kernel ([`Fpu::gemv_row`](stochastic_fpu::Fpu::gemv_row),
+//! [`Fpu::gemv_t_row`](stochastic_fpu::Fpu::gemv_t_row)) and its per-op
+//! strike lane. Both paths issue the same per-entry expansion, so the
+//! products stay bit-identical to scalar dispatch at every fault rate,
+//! and FLOP accounting is unchanged: each row is charged exactly what its
+//! batch kernel charges (`2·nnz` per product, plus the lane combine of
+//! rows long enough to lane-split).
 //!
 //! Zero-skips are preserved by *storage*: CSR only stores nonzeros, so a
 //! zero entry never reaches the FPU — the sparse analogue of the
@@ -22,7 +28,7 @@ use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::operator::LinearOperator;
 use std::fmt;
-use stochastic_fpu::Fpu;
+use stochastic_fpu::{Fpu, LANE_REDUCTION_MIN};
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -197,23 +203,32 @@ impl CsrMatrix {
 
     /// Sparse matrix–vector product `A x` through the FPU.
     ///
-    /// Per row, the entries of `x` addressed by the row's column indices
-    /// are gathered into a contiguous scratch buffer (data movement) and
-    /// reduced by one [`Fpu::gemv_row`] call — the same `p = mul(a_ij,
-    /// x_j); acc = add(acc, p)` per-entry expansion, in stored order, that
-    /// scalar dispatch issues, with fault-free stretches running on the
-    /// vectorizable `chunks_exact` lane.
+    /// Rows run through [`Fpu::with_exact_item_windows`], one item per
+    /// row. A span of whole rows inside one guaranteed fault-free window
+    /// runs as a gather-free native loop straight over the stored
+    /// `col_idx`/`vals`: `acc += a_ij · x_j` from `acc = 0.0`, in stored
+    /// order, and is accounted with one `commit_exact`. The row a window
+    /// ends inside of gathers its `x[col]` entries into a scratch buffer
+    /// (data movement) and runs one [`Fpu::gemv_row`] call, which issues
+    /// the per-op `p = mul(a_ij, x_j); acc = add(acc, p)` expansion around
+    /// the strike. Both paths are that same expansion, so the product is
+    /// bit-identical to scalar dispatch. Rows of
+    /// [`LANE_REDUCTION_MIN`] or more entries never join a span: they
+    /// always run through `gemv_row`, whose lane-split reduction has its
+    /// own fast lane.
     ///
     /// # FLOP accounting
     ///
     /// `2·nnz` FLOPs (`mul` + `add` per stored entry; `+ LANE_WIDTH` per
-    /// row once its reduction lane-splits). Gathers are data movement,
-    /// not FLOPs.
+    /// row once its reduction lane-splits), the same charge as one
+    /// `gemv_row` per row. Gathers are data movement, not FLOPs.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if
     /// `x.len() != self.cols()`.
+    ///
+    /// [`LANE_REDUCTION_MIN`]: stochastic_fpu::LANE_REDUCTION_MIN
     pub fn matvec<F: Fpu>(&self, fpu: &mut F, x: &[f64]) -> Result<Vec<f64>, LinalgError> {
         if x.len() != self.cols {
             return Err(LinalgError::shape(
@@ -222,34 +237,60 @@ impl CsrMatrix {
             ));
         }
         let mut gather = vec![0.0; self.max_row_nnz];
-        let mut y = Vec::with_capacity(self.rows);
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            let g = &mut gather[..cols.len()];
-            for (gk, &j) in g.iter_mut().zip(cols) {
-                *gk = x[j];
-            }
-            y.push(fpu.gemv_row(0.0, vals, g));
-        }
+        let mut y = vec![0.0; self.rows];
+        fpu.with_exact_item_windows(
+            self.rows,
+            |i| {
+                let len = self.row_ptr[i + 1] - self.row_ptr[i];
+                (len < LANE_REDUCTION_MIN).then_some(2 * len as u64)
+            },
+            |fpu, rows, exact| {
+                if exact {
+                    let spans = self.row_ptr[rows.start..=rows.end].windows(2);
+                    for (yi, span) in y[rows].iter_mut().zip(spans) {
+                        let entries = span[0]..span[1];
+                        let mut acc = 0.0;
+                        for (&j, &v) in self.col_idx[entries.clone()]
+                            .iter()
+                            .zip(&self.vals[entries])
+                        {
+                            acc += v * x[j];
+                        }
+                        *yi = acc;
+                    }
+                } else {
+                    let (cols, vals) = self.row(rows.start);
+                    let g = &mut gather[..cols.len()];
+                    for (gk, &j) in g.iter_mut().zip(cols) {
+                        *gk = x[j];
+                    }
+                    y[rows.start] = fpu.gemv_row(0.0, vals, g);
+                }
+            },
+        );
         Ok(y)
     }
 
     /// Transposed sparse matrix–vector product `Aᵀ y` through the FPU.
     ///
     /// Rows with `y[i] == 0.0` are skipped entirely (the same zero-skip
-    /// the dense [`Matrix::matvec_t`] applies). For each remaining row the
-    /// addressed output entries are gathered into a contiguous scratch
-    /// buffer, updated by one [`Fpu::gemv_t_row`] call (`p = mul(a_ij,
-    /// y_i); out_j = add(out_j, p)` per entry in stored order — matrix
-    /// element first, the operand order the operand-side fault models are
-    /// sensitive to), and scattered back. Column indices are strictly
-    /// increasing within a row, so the gather/scatter never aliases.
+    /// the dense [`Matrix::matvec_t`] applies). The remaining rows run
+    /// through [`Fpu::with_exact_item_windows`] as in
+    /// [`matvec`](Self::matvec): a span of whole rows inside one fault-free
+    /// window updates `out_j += a_ij · y_i` natively in stored order, and
+    /// the row a window ends inside of gathers its addressed output
+    /// entries into a scratch buffer, updates them by one
+    /// [`Fpu::gemv_t_row`] call (`p = mul(a_ij, y_i); out_j = add(out_j,
+    /// p)` per entry in stored order — matrix element first, the operand
+    /// order the operand-side fault models are sensitive to), and
+    /// scatters them back. Column indices are strictly increasing within
+    /// a row, so the gather/scatter never aliases.
     ///
     /// # FLOP accounting
     ///
     /// `2·nnz` FLOPs over the rows with `y[i] != 0.0` (`mul` + `add` per
-    /// stored entry); skipped rows cost zero. Gather/scatter is data
-    /// movement, not FLOPs.
+    /// stored entry), the same charge as one `gemv_t_row` per row; skipped
+    /// rows cost zero. Gather/scatter is data movement, not FLOPs.
     ///
     /// # Errors
     ///
@@ -264,20 +305,44 @@ impl CsrMatrix {
         }
         let mut out = vec![0.0; self.cols];
         let mut scratch = vec![0.0; self.max_row_nnz];
-        for (i, &yi) in y.iter().enumerate() {
-            if yi == 0.0 {
-                continue;
-            }
-            let (cols, vals) = self.row(i);
-            let s = &mut scratch[..cols.len()];
-            for (sk, &j) in s.iter_mut().zip(cols) {
-                *sk = out[j];
-            }
-            fpu.gemv_t_row(yi, vals, s);
-            for (sk, &j) in s.iter().zip(cols) {
-                out[j] = *sk;
-            }
-        }
+        fpu.with_exact_item_windows(
+            self.rows,
+            |i| {
+                let len = self.row_ptr[i + 1] - self.row_ptr[i];
+                Some(if y[i] == 0.0 { 0 } else { 2 * len as u64 })
+            },
+            |fpu, rows, exact| {
+                if exact {
+                    let spans = self.row_ptr[rows.start..=rows.end].windows(2);
+                    for (&yi, span) in y[rows].iter().zip(spans) {
+                        if yi == 0.0 {
+                            continue;
+                        }
+                        let entries = span[0]..span[1];
+                        for (&j, &v) in self.col_idx[entries.clone()]
+                            .iter()
+                            .zip(&self.vals[entries])
+                        {
+                            out[j] += v * yi;
+                        }
+                    }
+                } else {
+                    let yi = y[rows.start];
+                    if yi == 0.0 {
+                        return;
+                    }
+                    let (cols, vals) = self.row(rows.start);
+                    let s = &mut scratch[..cols.len()];
+                    for (sk, &j) in s.iter_mut().zip(cols) {
+                        *sk = out[j];
+                    }
+                    fpu.gemv_t_row(yi, vals, s);
+                    for (sk, &j) in s.iter().zip(cols) {
+                        out[j] = *sk;
+                    }
+                }
+            },
+        );
         Ok(out)
     }
 

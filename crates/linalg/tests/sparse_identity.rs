@@ -11,6 +11,13 @@
 //! counters and statistics (including the bit-position histogram),
 //! memory shadow state, and the continuation of the fault stream after
 //! the products.
+//!
+//! The products walk their rows through `Fpu::with_exact_item_windows`:
+//! whole-row spans run natively, the row a window ends inside of runs its
+//! batch kernel, and rows of `LANE_REDUCTION_MIN` or more entries always
+//! do. The inputs below therefore mix empty rows, short rows and
+//! lane-splitting rows, zero `y` coefficients, and strike positions that
+//! end a window inside a row and exactly on a row boundary.
 
 use proptest::prelude::*;
 use robustify_linalg::CsrMatrix;
@@ -74,21 +81,61 @@ fn test_matrix(rows: usize, cols: usize, stride: usize) -> CsrMatrix {
     CsrMatrix::from_triplets(rows, cols, &triplets).expect("indices in bounds")
 }
 
-/// Runs both sparse products on `fpu` and fingerprints every observable
-/// bit: committed results, counters, fault statistics, memory shadow
-/// masks, and the post-product fault stream.
-fn sparse_workload_fingerprint(fpu: &mut NoisyFpu, a: &CsrMatrix, prefix: u64) -> Vec<u64> {
+/// A matrix whose row lengths cycle through empty, short and
+/// lane-splitting (`LANE_REDUCTION_MIN` and more) rows, clamped to
+/// `cols`; `salt` shifts each row's columns.
+fn mixed_matrix(rows: usize, cols: usize, salt: usize) -> CsrMatrix {
+    let lengths = [0, 1, 5, LANE_REDUCTION_MIN, 3, 0, LANE_REDUCTION_MIN + 7, 2];
+    let mut triplets = Vec::new();
+    for i in 0..rows {
+        let len = lengths[(i + salt) % lengths.len()].min(cols);
+        for k in 0..len {
+            let j = (i * 3 + salt + k) % cols;
+            triplets.push((i, j, 0.75 + ((i * 5 + k * 11) % 13) as f64 * 0.125));
+        }
+    }
+    CsrMatrix::from_triplets(rows, cols, &triplets).expect("indices in bounds")
+}
+
+/// A 12×16 matrix of exactly 5 entries per row (the 5-point stencil's
+/// shape), so every row costs 10 FLOPs in either product.
+fn stencil_matrix() -> CsrMatrix {
+    let (rows, cols) = (12, 16);
+    let mut triplets = Vec::new();
+    for i in 0..rows {
+        for k in 0..5 {
+            triplets.push((i, (i + 3 * k) % cols, 1.0 + ((i + k) % 7) as f64 * 0.25));
+        }
+    }
+    CsrMatrix::from_triplets(rows, cols, &triplets).expect("indices in bounds")
+}
+
+fn product_inputs(a: &CsrMatrix) -> (Vec<f64>, Vec<f64>) {
     let x: Vec<f64> = (0..a.cols())
         .map(|i| 0.25 + (i % 23) as f64 * 0.375)
         .collect();
-    let mut y: Vec<f64> = (0..a.rows())
-        .map(|i| 1.5 - (i % 7) as f64 * 0.125)
-        .collect();
-    // A zero coefficient pins the matvec_t zero-skip: both dispatch modes
+    // Zero coefficients pin the matvec_t zero-skip: both dispatch modes
     // must skip the row entirely (no FLOPs, no strike-schedule advance).
+    let mut y: Vec<f64> = (0..a.rows())
+        .map(|i| {
+            if i % 5 == 4 {
+                0.0
+            } else {
+                1.5 - (i % 7) as f64 * 0.125
+            }
+        })
+        .collect();
     if a.rows() > 1 {
         y[a.rows() / 3] = 0.0;
     }
+    (x, y)
+}
+
+/// Runs both sparse products on any `fpu` and fingerprints the
+/// FPU-agnostic observables: committed results, the next 64 draws of the
+/// operation stream, and the FLOP and fault counters.
+fn products_fingerprint<F: Fpu>(fpu: &mut F, a: &CsrMatrix, prefix: u64) -> Vec<u64> {
+    let (x, y) = product_inputs(a);
     let mut out = Vec::new();
 
     // A scalar prefix slides the strike schedule relative to row
@@ -112,6 +159,13 @@ fn sparse_workload_fingerprint(fpu: &mut NoisyFpu, a: &CsrMatrix, prefix: u64) -
 
     out.push(fpu.flops());
     out.push(fpu.faults());
+    out
+}
+
+/// [`products_fingerprint`] plus the `NoisyFpu` internals: fault
+/// statistics (with the bit-position histogram) and memory shadow masks.
+fn sparse_workload_fingerprint(fpu: &mut NoisyFpu, a: &CsrMatrix, prefix: u64) -> Vec<u64> {
+    let mut out = products_fingerprint(fpu, a, prefix);
     let stats = fpu.stats();
     out.push(stats.high_bit_faults());
     out.push(stats.mantissa_faults());
@@ -125,9 +179,9 @@ fn sparse_workload_fingerprint(fpu: &mut NoisyFpu, a: &CsrMatrix, prefix: u64) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Sparse batched == scalar for every shipped spec variant, across
-    /// fault rates, matrix shapes, sparsity strides, seeds, and strike
-    /// positions.
+    /// Sparse batched == scalar for every shipped spec variant and for
+    /// `ReliableFpu`, across fault rates, matrix shapes, sparsity
+    /// strides, mixed row lengths, seeds, and strike positions.
     #[test]
     fn sparse_products_are_byte_identical_to_scalar(
         seed in any::<u64>(),
@@ -137,17 +191,30 @@ proptest! {
         // lane-accumulated reduction and strided rows the short chain.
         cols in 1usize..(2 * LANE_REDUCTION_MIN),
         stride in 1usize..6,
+        salt in 0usize..8,
         prefix in 0u64..32,
     ) {
-        let a = test_matrix(rows, cols, stride);
         let rate = FaultRate::per_flop(rate_millis as f64 / 1000.0);
-        for spec in shipped_fault_models() {
-            let mut batched = NoisyFpu::new(rate, spec.clone(), seed);
-            let mut scalar = NoisyFpu::new(rate, spec.clone(), seed);
+        // The mixed matrix interleaves whole-row spans, window-boundary
+        // rows and never-batched long rows within one product.
+        for a in [test_matrix(rows, cols, stride), mixed_matrix(rows, cols, salt)] {
+            for spec in shipped_fault_models() {
+                let mut batched = NoisyFpu::new(rate, spec.clone(), seed);
+                let mut scalar = NoisyFpu::new(rate, spec.clone(), seed);
+                scalar.set_batching(false);
+                let b = sparse_workload_fingerprint(&mut batched, &a, prefix);
+                let s = sparse_workload_fingerprint(&mut scalar, &a, prefix);
+                prop_assert_eq!(b, s, "{} diverged (rate {:?})", spec.name(), rate);
+            }
+            // `ReliableFpu` grants one unbounded window, so every
+            // batchable row runs natively; scalar dispatch here is a
+            // rate-0 `NoisyFpu` issuing every op through `execute`.
+            let mut scalar = NoisyFpu::new(FaultRate::ZERO, FaultModelSpec::default(), seed);
             scalar.set_batching(false);
-            let b = sparse_workload_fingerprint(&mut batched, &a, prefix);
-            let s = sparse_workload_fingerprint(&mut scalar, &a, prefix);
-            prop_assert_eq!(b, s, "{} diverged (rate {:?})", spec.name(), rate);
+            prop_assert_eq!(
+                products_fingerprint(&mut ReliableFpu::new(), &a, prefix),
+                products_fingerprint(&mut scalar, &a, prefix)
+            );
         }
     }
 
@@ -264,4 +331,63 @@ fn sparse_flop_counts_reflect_stored_entries_only() {
         .matvec(&mut dense_fpu, &x)
         .expect("shapes match");
     assert_eq!(sparse_fpu.flops(), dense_fpu.flops());
+}
+
+/// Slides the first strike across row boundaries: with 10-FLOP rows, the
+/// first fault-free window of a product ends exactly on a row boundary
+/// when the strike's offset into the product is a multiple of 10 and
+/// inside a row otherwise. Both products, every offset over two rows,
+/// must match scalar dispatch bit for bit.
+#[test]
+fn windows_ending_inside_and_on_row_boundaries_match_scalar() {
+    let rate = FaultRate::per_flop(0.01);
+    let seed = 12;
+    let mut probe = NoisyFpu::new(rate, FaultModelSpec::default(), seed);
+    while probe.faults() == 0 {
+        probe.mul(1.5, 2.5);
+    }
+    // The op the first strike lands on; no fault happens before it, so
+    // its index does not depend on which ops run first.
+    let strike = probe.flops() - 1;
+    assert!(strike >= 30, "seed {seed} strikes too early ({strike})");
+
+    let a = stencil_matrix();
+    let (x, _) = product_inputs(&a);
+    // No zero coefficients: every row costs 10 FLOPs in `matvec_t` too.
+    let y: Vec<f64> = (0..a.rows())
+        .map(|i| 1.5 - (i % 7) as f64 * 0.125)
+        .collect();
+    for offset in 10..30 {
+        for transpose in [false, true] {
+            let run = |fpu: &mut NoisyFpu| {
+                for i in 0..strike - offset {
+                    fpu.mul(1.0 + i as f64, 1.5);
+                }
+                let v = if transpose {
+                    a.matvec_t(fpu, &y)
+                } else {
+                    a.matvec(fpu, &x)
+                }
+                .expect("shapes match");
+                let mut out: Vec<u64> = v.iter().map(|f| f.to_bits()).collect();
+                out.extend((0..64).map(|i| fpu.add(i as f64, 0.5).to_bits()));
+                out.extend([fpu.flops(), fpu.faults()]);
+                out
+            };
+            let mut batched = NoisyFpu::new(rate, FaultModelSpec::default(), seed);
+            let mut scalar = NoisyFpu::new(rate, FaultModelSpec::default(), seed);
+            scalar.set_batching(false);
+            let b = run(&mut batched);
+            assert!(
+                batched.faults() >= 1,
+                "offset {offset}: the product must strike"
+            );
+            assert_eq!(
+                b,
+                run(&mut scalar),
+                "offset {offset}, transpose {transpose}"
+            );
+            assert_eq!(batched.stats(), scalar.stats());
+        }
+    }
 }
