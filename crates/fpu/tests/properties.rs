@@ -43,9 +43,21 @@ fn shipped_fault_models() -> Vec<FaultModelSpec> {
 /// Runs a fixed mixed-op workload on a NoisyFpu and fingerprints every
 /// committed result.
 fn workload_fingerprint(spec: &FaultModelSpec, rate: f64, seed: u64) -> Vec<u64> {
+    run_workload(spec, rate, seed, 256).0
+}
+
+/// The workload behind [`workload_fingerprint`] (`rounds` of four ops),
+/// also returning the FPU so callers can inspect its counters and shadow
+/// state afterwards.
+fn run_workload(
+    spec: &FaultModelSpec,
+    rate: f64,
+    seed: u64,
+    rounds: usize,
+) -> (Vec<u64>, NoisyFpu) {
     let mut fpu = NoisyFpu::new(FaultRate::per_flop(rate), spec.clone(), seed);
-    let mut out = Vec::with_capacity(4 * 256);
-    for i in 0..256 {
+    let mut out = Vec::with_capacity(4 * rounds);
+    for i in 0..rounds {
         let x = 1.0 + (i % 17) as f64 * 0.375;
         let y = 0.5 + (i % 5) as f64;
         out.push(fpu.add(x, y).to_bits());
@@ -53,7 +65,75 @@ fn workload_fingerprint(spec: &FaultModelSpec, rate: f64, seed: u64) -> Vec<u64>
         out.push(fpu.div(x, y).to_bits());
         out.push(fpu.sqrt(x).to_bits());
     }
-    out
+    (out, fpu)
+}
+
+/// The FNV-1a digest of everything observable about one shipped model's
+/// run of the fixed workload: every committed result, the fault count,
+/// the bit histogram, the memory shadow state, the name and the JSON.
+fn golden_digest(spec: &FaultModelSpec) -> u64 {
+    let (bits, fpu) = run_workload(spec, GOLDEN_RATE, GOLDEN_SEED, GOLDEN_ROUNDS);
+    let mut bytes = Vec::new();
+    for word in bits {
+        bytes.extend_from_slice(&word.to_le_bytes());
+    }
+    bytes.extend_from_slice(&fpu.faults().to_le_bytes());
+    for &count in fpu.stats().bit_histogram() {
+        bytes.extend_from_slice(&count.to_le_bytes());
+    }
+    let slots = fpu
+        .memory_state()
+        .map_or(u64::MAX, |state| state.corrupted_slots() as u64);
+    bytes.extend_from_slice(&slots.to_le_bytes());
+    bytes.extend_from_slice(spec.name().as_bytes());
+    bytes.extend_from_slice(spec.to_json().as_bytes());
+    stochastic_fpu::json::fnv1a_64(&bytes)
+}
+
+const GOLDEN_RATE: f64 = 0.05;
+const GOLDEN_SEED: u64 = 0x5eed_2010;
+/// 16,384 FLOPs: long enough that the voltage-linked and DVFS presets
+/// (which ignore the grid rate) strike, the DVFS schedule reaches its last
+/// step and the intermittent duty window wraps many times.
+const GOLDEN_ROUNDS: usize = 4096;
+
+/// Digests of [`golden_digest`] for each entry of
+/// [`shipped_fault_models`], in order. Unlike the batched-vs-scalar
+/// identity tests, which compare two paths of one build, these constants
+/// pin the injector's output across versions: a change that alters every
+/// path the same way still fails here.
+const GOLDEN_DIGESTS: [u64; 16] = [
+    0xb170_4165_ef64_4203, // transient_emulated
+    0x9716_9560_fd74_2075, // transient_uniform
+    0xaeea_e7a5_1795_0209, // transient_msb_only
+    0x9dd1_3a1e_b25b_e1d0, // transient_lsb_only
+    0x36f5_f130_efb5_86ad, // stuck0_bit52
+    0x5257_0b10_f31c_9011, // stuck1_bit52
+    0x0772_375e_c2f4_dbcc, // burst3_emulated
+    0x982e_d759_e332_4750, // operand_emulated
+    0x3124_e5bd_1970_c0dd, // intermittent50_transient_emulated
+    0xd1d9_72ab_775c_f515, // only_mul+div_transient_emulated
+    0xcacb_f911_eacc_edf6, // vdd0.700_transient_emulated
+    0xe7f2_3b93_72ec_e9a1, // dvfs3step_transient_emulated
+    0x37e6_d756_8716_d210, // regfile32_scrub10000_emulated
+    0x65cd_612f_32fb_46bd, // array64_scrub0_emulated
+    0xbd2b_758f_0e46_c37a, // intermittent30_operand_uniform
+    0xfd71_e497_e1a1_e65d, // only_add+sub_burst2_lsb_only
+];
+
+#[test]
+fn shipped_fault_models_match_the_golden_digests() {
+    let specs = shipped_fault_models();
+    assert_eq!(specs.len(), GOLDEN_DIGESTS.len());
+    for (spec, &want) in specs.iter().zip(&GOLDEN_DIGESTS) {
+        let got = golden_digest(spec);
+        assert_eq!(
+            got,
+            want,
+            "{}: digest {got:#018x}, golden {want:#018x}",
+            spec.name()
+        );
+    }
 }
 
 proptest! {
