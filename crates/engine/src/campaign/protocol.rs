@@ -385,7 +385,7 @@ mod tests {
     use crate::campaign::JobSpec;
     use robustify_core::{DynProblem, SolverSpec, Verdict};
     use std::io::Cursor;
-    use stochastic_fpu::{Fpu, NoisyFpu};
+    use stochastic_fpu::{BitFaultModel, FaultModelSpec, Fpu, NoisyFpu};
 
     struct Wobble;
 
@@ -501,6 +501,33 @@ mod tests {
         assert_eq!(events.len(), 1, "got {events:?}");
         assert!(events[0].starts_with("{\"event\":\"error\""));
         assert!(events[0].contains("[0, 100]"), "got {events:?}");
+    }
+
+    #[test]
+    fn deeply_nested_lines_are_rejected_and_the_connection_survives() {
+        let reg = registry();
+        let input = format!("{}\n{{\"op\":\"ping\"}}\n", "[".repeat(100_000));
+        let (events, shutdown) = serve_lines(&input, &reg);
+        assert!(!shutdown);
+        assert_eq!(events.len(), 2, "got {events:?}");
+        assert!(events[0].starts_with("{\"event\":\"error\""));
+        assert!(events[0].contains("nesting"), "got {events:?}");
+        assert_eq!(events[1], "{\"event\":\"pong\"}");
+    }
+
+    #[test]
+    fn oversized_memory_fault_models_are_rejected_before_accepted() {
+        let reg = registry();
+        let memory = FaultModelSpec::array_resident(64, BitFaultModel::emulated(), 0);
+        let spec = campaign().job(JobSpec::new("m", "wobble").with_fault_model(memory));
+        // 10¹² slots: 8 TB of shadow masks per trial if it were accepted.
+        let request = format!("{{\"op\":\"submit\",\"campaign\":{}}}\n", spec.to_json())
+            .replace("\"slots\":64", "\"slots\":1000000000000");
+        assert!(request.contains("1000000000000"), "job JSON changed shape");
+        let (events, _) = serve_lines(&request, &reg);
+        assert_eq!(events.len(), 1, "got {events:?}");
+        assert!(events[0].starts_with("{\"event\":\"error\""));
+        assert!(events[0].contains("slots"), "got {events:?}");
     }
 
     /// A writer that records where each `write` call starts and ends.

@@ -118,11 +118,19 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Parses one JSON document, rejecting trailing non-whitespace.
+/// The deepest array/object nesting `parse` accepts. Campaign documents
+/// nest about ten levels; the bound keeps a hostile line from overflowing
+/// the parsing thread's stack (the parser, and the spec readers that walk
+/// its tree, recurse once per level).
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document, rejecting trailing non-whitespace and
+/// arrays or objects nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -136,6 +144,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -167,8 +177,11 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -176,6 +189,17 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -427,6 +451,21 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "01x", "{\"a\"}", "1 2", "{,}"] {
             assert!(parse(bad).is_err(), "accepted malformed input {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let object = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&object(MAX_DEPTH)).is_ok());
+        assert!(parse(&object(MAX_DEPTH + 1)).is_err());
+        // A line far deeper than any stack could recurse into is an
+        // error, not a crash.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -42,6 +42,12 @@
 use crate::fault::{BitFaultModel, BitWidth, FaultStats};
 use crate::lfsr::Lfsr;
 
+/// The most storage slots a parsed [`MemoryFaultModel`] may declare. Every
+/// trial allocates one 8-byte mask per slot, so an unbounded count from an
+/// untrusted document could exhaust memory; the shipped presets use 32
+/// and 64.
+const MAX_SLOTS: usize = 1 << 20;
+
 /// Which storage structure a persistent fault lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryFaultKind {
@@ -168,7 +174,8 @@ impl MemoryFaultModel {
     }
 
     /// Reconstructs a model from the [`to_json`](Self::to_json) shape
-    /// (the caller has already dispatched on `"kind"`).
+    /// (the caller has already dispatched on `"kind"`). Rejects more than
+    /// 2²⁰ `"slots"`: each trial allocates a mask per slot.
     pub fn from_json_value(value: &crate::json::JsonValue) -> Result<Self, String> {
         use crate::json::JsonValue;
         let kind = match value.get("kind").and_then(JsonValue::as_str) {
@@ -181,6 +188,11 @@ impl MemoryFaultModel {
             .and_then(JsonValue::as_usize)
             .filter(|&s| s > 0)
             .ok_or("memory fault model needs a positive \"slots\" count")?;
+        if slots > MAX_SLOTS {
+            return Err(format!(
+                "memory fault model \"slots\" is {slots}, above the limit of {MAX_SLOTS}"
+            ));
+        }
         let scrub_interval = value
             .get("scrub_interval")
             .and_then(JsonValue::as_u64)
@@ -409,6 +421,22 @@ mod tests {
         let exact = 1.0 + 1e-12;
         assert_eq!(apply_mask(exact, 0, BitWidth::F32), exact);
         assert_ne!(apply_mask(exact, 1, BitWidth::F32), exact);
+    }
+
+    #[test]
+    fn parse_bounds_the_slot_count() {
+        let json = |slots: usize| {
+            format!(
+                "{{\"kind\":\"array_resident\",\"slots\":{slots},\"scrub_interval\":0,\
+                 \"distribution\":\"emulated\",\"width\":\"f64\"}}"
+            )
+        };
+        let parse =
+            |slots| MemoryFaultModel::from_json_value(&crate::json::parse(&json(slots)).unwrap());
+        assert_eq!(parse(MAX_SLOTS).expect("at the limit").slots(), MAX_SLOTS);
+        let err = parse(MAX_SLOTS + 1).expect_err("above the limit");
+        assert!(err.contains("limit"), "{err}");
+        assert!(parse(1_000_000_000_000).is_err());
     }
 
     #[test]
