@@ -10,7 +10,7 @@
 use crate::fault::{FaultRate, FaultStats};
 use crate::lfsr::Lfsr;
 use crate::memory::MemoryFaultState;
-use crate::model::{FaultCtx, FaultModel, FaultModelSpec};
+use crate::model::{dvfs_segments, FaultModelSpec};
 
 /// Width of the fault-free fast lane: the unroll factor of the batch
 /// kernels' `chunks_exact` microkernels, and the number of independent
@@ -931,14 +931,14 @@ impl Fpu for ReliableFpu {
 /// The fault-injecting FPU of the paper's FPGA framework.
 ///
 /// At LFSR-scheduled random intervals — uniform with mean equal to the
-/// configured [`FaultRate`]'s mean interval — the injector hands the
-/// operation to a pluggable [`FaultModel`](crate::FaultModel) strategy
-/// described by a [`FaultModelSpec`]. The paper's scenario (a transient
-/// single-bit flip of the committed result, per a
-/// [`BitFaultModel`](crate::BitFaultModel) distribution) is the
-/// [`FaultModelSpec::Transient`] variant and the
-/// default; stuck-at, burst, operand-side, intermittent and op-selective
-/// scenarios plug in through the same interface.
+/// configured [`FaultRate`]'s mean interval — the injector strikes, and the
+/// [`FaultModelSpec`] decides what the strike does to the operation. The
+/// paper's scenario (a transient single-bit flip of the committed result,
+/// per a [`BitFaultModel`](crate::BitFaultModel) distribution) is the
+/// [`FaultModelSpec::Transient`] variant and the default; stuck-at, burst,
+/// operand-side, intermittent and op-selective scenarios are other
+/// variants of the same spec, and the voltage-linked, DVFS and memory
+/// variants also reshape the strike schedule or keep persistent state.
 ///
 /// # Examples
 ///
@@ -968,25 +968,111 @@ impl Fpu for ReliableFpu {
 pub struct NoisyFpu {
     rate: FaultRate,
     spec: FaultModelSpec,
-    model: std::sync::Arc<dyn FaultModel>,
     lfsr: Lfsr,
-    /// FLOPs remaining until the next injection (0 when rate is zero).
-    countdown: u64,
     flops: u64,
     stats: FaultStats,
-    /// Shadow storage for memory-persistent fault specs.
-    memory: Option<MemoryFaultState>,
-    /// Precomputed `(end_flop_exclusive, rate)` segments for DVFS specs;
-    /// the last segment's rate persists past the schedule's end.
-    dvfs: Option<Vec<(u64, f64)>>,
-    /// Cursor into `dvfs`: index of the segment covering the current FLOP,
-    /// advanced monotonically so the per-op lookup is O(1) instead of a
-    /// linear re-scan of the schedule.
-    dvfs_cursor: usize,
+    injector: Injector,
     /// Whether the countdown skip-ahead fast path is enabled (it is by
     /// default; disable for scalar-dispatch comparisons — results are
     /// bit-identical either way).
     batched: bool,
+}
+
+/// When the injector strikes, and what state it keeps between ops.
+#[derive(Debug, Clone)]
+enum Injector {
+    /// The paper's constant-rate schedule: FLOPs remaining until the next
+    /// LFSR-drawn strike (0 when the rate is zero, so it never strikes).
+    Countdown(u64),
+    /// A DVFS schedule: a per-op Bernoulli draw at the rate of the voltage
+    /// step covering the FLOP.
+    Dvfs {
+        /// `(end_flop_exclusive, rate)` per step; the last segment ends at
+        /// `u64::MAX`, so its rate persists past the schedule's end.
+        segments: Vec<(u64, f64)>,
+        /// Index of the segment covering the current FLOP, advanced
+        /// monotonically so the per-op lookup is amortized O(1).
+        cursor: usize,
+    },
+    /// A memory-persistent spec: the constant-rate countdown, whose
+    /// strikes install damage into shadow storage every op touches.
+    Memory {
+        countdown: u64,
+        state: MemoryFaultState,
+    },
+}
+
+/// Draws the number of FLOPs until the next fault: uniform on
+/// `[1, 2/rate - 1]` so the mean interval is `1/rate`, generated by the
+/// LFSR as in the paper's methodology. Zero for a zero rate.
+fn draw_interval(rate: FaultRate, lfsr: &mut Lfsr) -> u64 {
+    if rate.is_zero() {
+        return 0;
+    }
+    let mean = rate.mean_interval();
+    let upper = (2.0 * mean - 1.0).round().max(1.0) as u64;
+    lfsr.uniform_1_to(upper)
+}
+
+/// `op(a, b)` as the injector commits it, with the NaN case pinned: when
+/// both operands of an add or mul are NaN the result is `b`, quieted.
+///
+/// Rust leaves the payload of a NaN result unspecified, and the compiler
+/// may swap a commutative op's operands, so which input's payload survives
+/// otherwise depends on register allocation. Here the payload matters: a
+/// later exponent flip can turn a NaN back into a finite value made of its
+/// payload bits. Pinning it keeps trial results independent of how
+/// `execute` happens to compile; `b` is the payload that x86-64 builds
+/// committed before the rule was written down.
+fn committed_exact(op: FlopOp, a: f64, b: f64) -> f64 {
+    const QUIET: u64 = 1 << 51;
+    match op {
+        FlopOp::Add | FlopOp::Mul if a.is_nan() && b.is_nan() => {
+            f64::from_bits(b.to_bits() | QUIET)
+        }
+        _ => op.exact(a, b),
+    }
+}
+
+/// Steps a constant-rate countdown by one op; `true` when the op strikes
+/// (and the next interval has been drawn).
+fn countdown_strikes(countdown: &mut u64, rate: FaultRate, lfsr: &mut Lfsr) -> bool {
+    match *countdown {
+        0 => false,
+        1 => {
+            *countdown = draw_interval(rate, lfsr);
+            true
+        }
+        n => {
+            *countdown = n - 1;
+            false
+        }
+    }
+}
+
+impl Injector {
+    /// Whether the schedule strikes at FLOP index `flop`.
+    ///
+    /// Constant-rate specs replay the paper's LFSR interval schedule
+    /// exactly; DVFS specs draw a per-op Bernoulli at the rate of the
+    /// voltage step covering `flop`, so the strike density tracks the
+    /// schedule with no lag.
+    fn strikes(&mut self, flop: u64, rate: FaultRate, lfsr: &mut Lfsr) -> bool {
+        match self {
+            Injector::Countdown(countdown) | Injector::Memory { countdown, .. } => {
+                countdown_strikes(countdown, rate, lfsr)
+            }
+            Injector::Dvfs { segments, cursor } => {
+                // FLOP indices only grow, so the cursor only moves forward;
+                // it never steps past the final `u64::MAX` segment.
+                while *cursor + 1 < segments.len() && flop >= segments[*cursor].0 {
+                    *cursor += 1;
+                }
+                let rate = segments[*cursor].1;
+                rate > 0.0 && lfsr.next_f64() < rate
+            }
+        }
+    }
 }
 
 impl NoisyFpu {
@@ -1007,35 +1093,45 @@ impl NoisyFpu {
     /// voltage. Memory-persistent specs allocate shadow storage whose
     /// corruptions outlive the ops that suffered them (inspect it via
     /// [`memory_state`](Self::memory_state)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a combinator in `model` nests a voltage-linked, DVFS or
+    /// memory spec (possible only for specs assembled as enum literals).
     pub fn new(rate: FaultRate, model: impl Into<FaultModelSpec>, seed: u64) -> Self {
         let spec = model.into();
+        spec.assert_nestable();
         let rate = spec.rate_override().unwrap_or(rate);
-        let memory = spec.memory_model().cloned().map(MemoryFaultState::new);
-        // One source of truth for the schedule-to-rate mapping, shared
-        // with `FaultModelSpec::dvfs_rate_at`.
-        let dvfs = spec.dvfs_segments();
-        let mut fpu = NoisyFpu {
+        let mut lfsr = Lfsr::new(seed);
+        // Drawn for every spec, DVFS included (which then ignores it), so
+        // each spec's LFSR stream keeps its established alignment.
+        let countdown = draw_interval(rate, &mut lfsr);
+        let injector = match &spec {
+            FaultModelSpec::DvfsSchedule { model, steps } => Injector::Dvfs {
+                segments: dvfs_segments(model, steps),
+                cursor: 0,
+            },
+            FaultModelSpec::Memory { model } => Injector::Memory {
+                countdown,
+                state: MemoryFaultState::new(model.clone()),
+            },
+            _ => Injector::Countdown(countdown),
+        };
+        NoisyFpu {
             rate,
-            model: spec.build(),
             spec,
-            lfsr: Lfsr::new(seed),
-            countdown: 0,
+            lfsr,
             flops: 0,
             stats: FaultStats::default(),
-            memory,
-            dvfs,
-            dvfs_cursor: 0,
+            injector,
             batched: true,
-        };
-        fpu.countdown = fpu.draw_interval();
-        fpu
+        }
     }
 
     /// The effective fault rate: the constructor argument, or the derived
     /// rate for a fixed voltage-linked spec. For a DVFS schedule this
     /// still reports the constructor argument, which the strike schedule
-    /// *ignores* — per-op rates follow the voltage steps (query them via
-    /// [`FaultModelSpec::dvfs_rate_at`]).
+    /// *ignores* — per-op rates follow the voltage steps.
     pub fn rate(&self) -> FaultRate {
         self.rate
     }
@@ -1053,16 +1149,10 @@ impl NoisyFpu {
     /// The shadow storage of a memory-persistent spec (`None` for
     /// transient scenarios) — which slots currently hold corrupted bits.
     pub fn memory_state(&self) -> Option<&MemoryFaultState> {
-        self.memory.as_ref()
-    }
-
-    /// Resets FLOP and fault counters (the fault schedule continues).
-    pub fn reset_counters(&mut self) {
-        self.flops = 0;
-        self.stats = FaultStats::default();
-        // The DVFS schedule is indexed by the FLOP counter, which just
-        // rewound to zero; rewind the segment cursor with it.
-        self.dvfs_cursor = 0;
+        match &self.injector {
+            Injector::Memory { state, .. } => Some(state),
+            _ => None,
+        }
     }
 
     /// Enables or disables the countdown skip-ahead fast path used by the
@@ -1075,93 +1165,36 @@ impl NoisyFpu {
     pub fn set_batching(&mut self, enabled: bool) {
         self.batched = enabled;
     }
-
-    /// Whether the countdown skip-ahead fast path is enabled.
-    pub fn batching(&self) -> bool {
-        self.batched
-    }
-
-    /// Draws the number of FLOPs until the next fault: uniform on
-    /// `[1, 2/rate - 1]` so the mean interval is `1/rate`, generated by the
-    /// LFSR as in the paper's methodology.
-    fn draw_interval(&mut self) -> u64 {
-        if self.rate.is_zero() {
-            return 0;
-        }
-        let mean = self.rate.mean_interval();
-        let upper = (2.0 * mean - 1.0).round().max(1.0) as u64;
-        self.lfsr.uniform_1_to(upper)
-    }
-
-    /// Whether the fault schedule strikes at FLOP index `flop`.
-    ///
-    /// Constant-rate specs replay the paper's LFSR interval schedule
-    /// exactly; DVFS specs draw a per-op Bernoulli at the rate of the
-    /// voltage step covering `flop`, so the strike density tracks the
-    /// schedule with no lag.
-    fn strikes(&mut self, flop: u64) -> bool {
-        if let Some(segments) = &self.dvfs {
-            // Advance the cursor to the segment covering `flop`. FLOP
-            // indices are monotone between counter resets, so this is
-            // amortized O(1) per op (the old code re-scanned the whole
-            // schedule on every FLOP). The final segment ends at
-            // `u64::MAX`, which the cursor never steps past — matching
-            // `dvfs_segment_rate`'s fall-through to the last rate.
-            let mut cursor = self.dvfs_cursor;
-            while cursor + 1 < segments.len() && flop >= segments[cursor].0 {
-                cursor += 1;
-            }
-            let rate = segments[cursor].1;
-            self.dvfs_cursor = cursor;
-            return rate > 0.0 && self.lfsr.next_f64() < rate;
-        }
-        if self.rate.is_zero() {
-            return false;
-        }
-        self.countdown -= 1;
-        if self.countdown > 0 {
-            return false;
-        }
-        self.countdown = self.draw_interval();
-        true
-    }
 }
 
 impl Fpu for NoisyFpu {
     fn execute(&mut self, op: FlopOp, a: f64, b: f64) -> f64 {
         let flop = self.flops;
         self.flops += 1;
-        if let Some(memory) = &mut self.memory {
-            memory.begin_op(flop);
-        }
-        let (a, b) = match &self.memory {
-            Some(memory) => memory.load_operands(flop, a, b),
-            None => (a, b),
-        };
-        let exact = op.exact(a, b);
-        let strike = self.strikes(flop);
-        // Commit through storage first (array-resident writes heal their
-        // word), then install any new persistent damage — a fault lands
-        // at FLOP t and is visible from FLOP t+1 on.
-        match &mut self.memory {
-            Some(memory) => {
-                let committed = memory.commit_result(flop, exact);
+        match &mut self.injector {
+            Injector::Memory { countdown, state } => {
+                state.begin_op(flop);
+                let (a, b) = state.load_operands(flop, a, b);
+                let exact = committed_exact(op, a, b);
+                let strike = countdown_strikes(countdown, self.rate, &mut self.lfsr);
+                // Commit through storage first (array-resident writes heal
+                // their word), then install any new persistent damage — a
+                // fault lands at FLOP t and is visible from FLOP t+1 on.
+                let committed = state.commit_result(flop, exact);
                 if strike {
-                    memory.install(&mut self.lfsr, &mut self.stats);
+                    state.install(&mut self.lfsr, &mut self.stats);
                 }
                 committed
             }
-            None if strike => {
-                let ctx = FaultCtx {
-                    op,
-                    a,
-                    b,
-                    exact,
-                    flop,
-                };
-                self.model.corrupt(&ctx, &mut self.lfsr, &mut self.stats)
+            injector => {
+                let exact = committed_exact(op, a, b);
+                if injector.strikes(flop, self.rate, &mut self.lfsr) {
+                    self.spec
+                        .corrupt(op, a, b, exact, flop, &mut self.lfsr, &mut self.stats)
+                } else {
+                    exact
+                }
             }
-            None => exact,
         }
     }
 
@@ -1182,13 +1215,12 @@ impl Fpu for NoisyFpu {
     /// touched by every op) — report no window and always take the per-op
     /// path.
     fn run_exact(&self, max: u64) -> u64 {
-        if !self.batched || self.memory.is_some() || self.dvfs.is_some() {
-            return 0;
+        match self.injector {
+            Injector::Countdown(_) if !self.batched => 0,
+            Injector::Countdown(0) => max,
+            Injector::Countdown(countdown) => max.min(countdown - 1),
+            Injector::Dvfs { .. } | Injector::Memory { .. } => 0,
         }
-        if self.rate.is_zero() {
-            return max;
-        }
-        max.min(self.countdown.saturating_sub(1))
     }
 
     fn commit_exact(&mut self, n: u64) {
@@ -1204,8 +1236,12 @@ impl Fpu for NoisyFpu {
             "commit_exact({n}) exceeds the guaranteed-exact window"
         );
         self.flops += n;
-        if !self.rate.is_zero() {
-            self.countdown -= n;
+        match &mut self.injector {
+            // A zero-rate countdown stays at zero (never strikes).
+            Injector::Countdown(countdown) => *countdown = countdown.saturating_sub(n),
+            Injector::Dvfs { .. } | Injector::Memory { .. } => {
+                unreachable!("only constant-rate injectors report an exact window")
+            }
         }
     }
 }
@@ -1645,7 +1681,7 @@ mod tests {
         let mut fast = NoisyFpu::new(FaultRate::per_flop(0.02), BitFaultModel::emulated(), 41);
         let mut slow = fast.clone();
         slow.set_batching(false);
-        assert!(fast.batching() && !slow.batching());
+        assert!(fast.run_exact(100) > 0, "the fast path reports a window");
         assert_eq!(slow.run_exact(100), 0);
         let mut yf = vec![1.0; 100];
         let mut ys = vec![1.0; 100];

@@ -1,4 +1,4 @@
-//! Pluggable fault models: the scenario axis of the fault injector.
+//! Fault models: the scenario axis of the fault injector.
 //!
 //! The paper evaluates one hardware scenario — a transient single-bit flip
 //! in the FPU result, with the bit position drawn from a circuit-modeled
@@ -8,17 +8,16 @@
 //! cycle of their aggressor, latches corrupt *operands* on the way into a
 //! functional unit, and hot spots make faults *op-selective* (the
 //! multiplier array fails long before the adder). This module makes the
-//! scenario a first-class, sweepable axis:
+//! scenario a first-class, sweepable axis.
 //!
-//! * [`FaultModel`] — the object-safe corruption strategy every injector
-//!   implements. Given the operation, its operands, the exact result and
-//!   the injector's LFSR, it produces the committed (possibly corrupted)
-//!   value. Determinism contract: the output depends only on the inputs
-//!   and the LFSR state, never on ambient state.
-//! * [`FaultModelSpec`] — the serializable, plain-data description of a
-//!   model (the analogue of `SolverSpec` for the injector side), from
-//!   which [`build`](FaultModelSpec::build) constructs the strategy.
-//! * [`FaultCtx`] — the per-strike context handed to a model.
+//! [`FaultModelSpec`] is the one representation of a scenario: a
+//! serializable, plain-data enum (the analogue of `SolverSpec` for the
+//! injector side). [`NoisyFpu`](crate::NoisyFpu) matches on it directly —
+//! a strike is corrupted by the spec's own `corrupt` arm, and the
+//! voltage-linked, DVFS and memory variants configure the injector's rate
+//! schedule or shadow state. Determinism contract: a corrupted value
+//! depends only on the operation, its operands, the FLOP index and the
+//! injector's LFSR draws, never on ambient state.
 //!
 //! The engine's sweep grids carry a `FaultModelSpec` per sweep (with
 //! per-case overrides), so experiments become
@@ -30,42 +29,7 @@ use crate::fpu::FlopOp;
 use crate::json::JsonValue;
 use crate::lfsr::Lfsr;
 use crate::memory::MemoryFaultModel;
-use std::sync::Arc;
-
-/// Everything a fault model may condition on when corrupting one strike.
-///
-/// `flop` is the zero-based index of the operation within the trial, which
-/// lets duty-cycle models gate on *time* while staying deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultCtx {
-    /// The operation being executed.
-    pub op: FlopOp,
-    /// First operand.
-    pub a: f64,
-    /// Second operand (zero for unary ops).
-    pub b: f64,
-    /// The exact IEEE-754 result of `op(a, b)`.
-    pub exact: f64,
-    /// Zero-based FLOP index of this operation within the trial.
-    pub flop: u64,
-}
-
-/// An object-safe corruption strategy: what happens when the injector's
-/// LFSR schedule says a fault strikes.
-///
-/// Implementations must be *seed-deterministic*: the returned value (and
-/// any statistics recorded) may depend only on the [`FaultCtx`] and on
-/// draws from the supplied [`Lfsr`]. Models that decline to corrupt (an
-/// intermittent model outside its duty window, an op-selective model on a
-/// non-selected op) return `ctx.exact` unchanged and record nothing.
-pub trait FaultModel: std::fmt::Debug + Send + Sync {
-    /// A short stable name for emitters and diagnostics.
-    fn name(&self) -> String;
-
-    /// Produces the committed result for one scheduled strike, recording
-    /// any injected fault into `stats`.
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64;
-}
+use std::sync::OnceLock;
 
 /// Flips `bit` of `value` in the given encoding (widening back for f32).
 fn flip_bit(value: f64, bit: usize, width: BitWidth) -> f64 {
@@ -103,205 +67,23 @@ fn force_bit(value: f64, bit: usize, one: bool, width: BitWidth) -> (f64, bool) 
     }
 }
 
-/// The paper's scenario: a transient single-bit flip in the committed
-/// result, position drawn from a [`BitFaultModel`] distribution.
-#[derive(Debug, Clone)]
-struct TransientFlip {
-    model: BitFaultModel,
+/// The paper's transient flip: one bit of `exact`, drawn from `model`.
+fn transient_flip(
+    model: &BitFaultModel,
+    exact: f64,
+    lfsr: &mut Lfsr,
+    stats: &mut FaultStats,
+) -> f64 {
+    let bit = model.sample_bit(lfsr);
+    stats.record_fault(model.width(), bit);
+    flip_bit(exact, bit, model.width())
 }
 
-impl FaultModel for TransientFlip {
-    fn name(&self) -> String {
-        format!("transient_{}", self.model.kind())
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let bit = self.model.sample_bit(lfsr);
-        stats.record_fault(self.model.width(), bit);
-        flip_bit(ctx.exact, bit, self.model.width())
-    }
-}
-
-/// A stuck-at fault: one fixed bit of the result datapath is tied to a
-/// constant 0 or 1. Strikes on results whose bit already holds the stuck
-/// value are invisible and record nothing.
-#[derive(Debug, Clone)]
-struct StuckAtFault {
-    bit: usize,
-    stuck_to_one: bool,
-    width: BitWidth,
-}
-
-impl FaultModel for StuckAtFault {
-    fn name(&self) -> String {
-        format!(
-            "stuck{}_bit{}",
-            if self.stuck_to_one { 1 } else { 0 },
-            self.bit
-        )
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, _lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let (forced, changed) = force_bit(ctx.exact, self.bit, self.stuck_to_one, self.width);
-        if changed {
-            stats.record_fault(self.width, self.bit);
-        }
-        forced
-    }
-}
-
-/// A multi-bit burst: a timing violation smears across `length` adjacent
-/// bits starting at a sampled position (clamped at the encoding's top).
-#[derive(Debug, Clone)]
-struct BurstFlip {
-    model: BitFaultModel,
-    length: usize,
-}
-
-impl FaultModel for BurstFlip {
-    fn name(&self) -> String {
-        format!("burst{}_{}", self.length, self.model.kind())
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let width = self.model.width();
-        let start = self.model.sample_bit(lfsr);
-        // One fault event, recorded at its primary (sampled) position.
-        stats.record_fault(width, start);
-        let mut value = ctx.exact;
-        for bit in start..(start + self.length).min(width.bits()) {
-            value = flip_bit(value, bit, width);
-        }
-        value
-    }
-}
-
-/// Operand-side corruption: the fault lands on an *input* latch, so the
-/// functional unit computes an exact result of a wrong operand.
-#[derive(Debug, Clone)]
-struct OperandFlip {
-    model: BitFaultModel,
-}
-
-impl FaultModel for OperandFlip {
-    fn name(&self) -> String {
-        format!("operand_{}", self.model.kind())
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let bit = self.model.sample_bit(lfsr);
-        stats.record_fault(self.model.width(), bit);
-        // Unary ops only have operand `a`; binary ops pick one by an LFSR
-        // coin flip (drawn after the bit so the bit distribution matches
-        // the configured model exactly).
-        let corrupt_a = matches!(ctx.op, FlopOp::Sqrt) || lfsr.next_f64() < 0.5;
-        if corrupt_a {
-            let a = flip_bit(ctx.a, bit, self.model.width());
-            ctx.op.exact(a, ctx.b)
-        } else {
-            let b = flip_bit(ctx.b, bit, self.model.width());
-            ctx.op.exact(ctx.a, b)
-        }
-    }
-}
-
-/// An intermittent fault: the inner model is active only while the FLOP
-/// index lies in the first `duty` fraction of each `period`-FLOP window —
-/// the signature of a marginal circuit tracking its aggressor's duty
-/// cycle. Strikes outside the window pass through untouched.
-#[derive(Debug)]
-struct DutyCycleFault {
-    inner: Arc<dyn FaultModel>,
-    duty: f64,
-    period: u64,
-    /// Precomputed `round(duty * period)`.
-    active: u64,
-}
-
-impl FaultModel for DutyCycleFault {
-    fn name(&self) -> String {
-        format!(
-            "intermittent{}_{}",
-            (self.duty * 100.0).round() as u64,
-            self.inner.name()
-        )
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        if ctx.flop % self.period < self.active {
-            self.inner.corrupt(ctx, lfsr, stats)
-        } else {
-            ctx.exact
-        }
-    }
-}
-
-/// The corruption strategy of the voltage-linked scenarios: the paper's
-/// transient emulated-distribution flip, named after its operating point.
-/// The *rate* side of a voltage-linked scenario is enforced by
-/// [`NoisyFpu`](crate::NoisyFpu) (via
-/// [`FaultModelSpec::rate_override`] /
-/// [`FaultModelSpec::dvfs_rate_at`]), not here.
-#[derive(Debug)]
-struct VoltageLinkedFlip {
-    name: String,
-    inner: TransientFlip,
-}
-
-impl FaultModel for VoltageLinkedFlip {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        self.inner.corrupt(ctx, lfsr, stats)
-    }
-}
-
-/// The stateless projection of a memory-persistent fault: a transient flip
-/// drawn from the same bit distribution. Used only when a memory spec's
-/// built model is driven outside a [`NoisyFpu`](crate::NoisyFpu) — the FPU
-/// itself intercepts memory specs and applies the true persistent
-/// semantics through [`MemoryFaultState`](crate::MemoryFaultState).
-#[derive(Debug)]
-struct MemoryShadowFault {
-    model: MemoryFaultModel,
-}
-
-impl FaultModel for MemoryShadowFault {
-    fn name(&self) -> String {
-        self.model.name()
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        let bit = self.model.bits().sample_bit(lfsr);
-        stats.record_fault(self.model.bits().width(), bit);
-        flip_bit(ctx.exact, bit, self.model.bits().width())
-    }
-}
-
-/// An op-selective fault: only the listed operations' functional units are
-/// faulty (e.g. only mul/div, matching a multiplier-array hot spot).
-/// Strikes on other ops pass through untouched.
-#[derive(Debug)]
-struct OpSelectiveFault {
-    inner: Arc<dyn FaultModel>,
-    ops: Vec<FlopOp>,
-}
-
-impl FaultModel for OpSelectiveFault {
-    fn name(&self) -> String {
-        let ops: Vec<&str> = self.ops.iter().map(|op| op.name()).collect();
-        format!("only_{}_{}", ops.join("+"), self.inner.name())
-    }
-
-    fn corrupt(&self, ctx: &FaultCtx, lfsr: &mut Lfsr, stats: &mut FaultStats) -> f64 {
-        if self.ops.contains(&ctx.op) {
-            self.inner.corrupt(ctx, lfsr, stats)
-        } else {
-            ctx.exact
-        }
-    }
+/// The emulated distribution the voltage-linked scenarios flip with,
+/// built once rather than on every strike.
+fn emulated_bits() -> &'static BitFaultModel {
+    static EMULATED: OnceLock<BitFaultModel> = OnceLock::new();
+    EMULATED.get_or_init(BitFaultModel::emulated)
 }
 
 /// A serializable, plain-data description of a fault model — the analogue
@@ -309,10 +91,11 @@ impl FaultModel for OpSelectiveFault {
 ///
 /// Specs are built in code, carried by sweep grids (with per-case
 /// overrides), serialized into result documents for provenance via
-/// [`to_json`](Self::to_json), and instantiated with
-/// [`build`](Self::build). The combinator variants
-/// ([`Intermittent`](Self::Intermittent), [`OpSelective`](Self::OpSelective))
-/// nest any other spec.
+/// [`to_json`](Self::to_json), and executed by
+/// [`NoisyFpu`](crate::NoisyFpu), which matches on the variant. The
+/// combinator variants ([`Intermittent`](Self::Intermittent),
+/// [`OpSelective`](Self::OpSelective)) nest any spec that is not
+/// injector-level (voltage-linked, DVFS or memory).
 ///
 /// # Examples
 ///
@@ -375,8 +158,7 @@ pub enum FaultModelSpec {
     /// Voltage-linked operation: the paper's transient flip at the fault
     /// rate the Figure 5.2 model predicts for a fixed overscaled supply.
     /// [`NoisyFpu`](crate::NoisyFpu) derives the effective per-op rate
-    /// from the voltage ([`rate_override`](Self::rate_override)),
-    /// overriding whatever rate the sweep grid passed.
+    /// from the voltage, overriding whatever rate the sweep grid passed.
     VoltageLinked {
         /// The voltage ↦ error-rate calibration (Figure 5.2).
         model: VoltageErrorModel,
@@ -385,8 +167,8 @@ pub enum FaultModelSpec {
     },
     /// A DVFS trajectory: the supply voltage steps through a schedule
     /// over the trial, and the per-op fault rate follows the Figure 5.2
-    /// model at each step ([`dvfs_rate_at`](Self::dvfs_rate_at)). The
-    /// last step's voltage persists once the schedule is exhausted.
+    /// model at each step. The last step's voltage persists once the
+    /// schedule is exhausted.
     DvfsSchedule {
         /// The voltage ↦ error-rate calibration (Figure 5.2).
         model: VoltageErrorModel,
@@ -571,7 +353,7 @@ impl FaultModelSpec {
     /// [`NoisyFpu`](crate::NoisyFpu) at the top level and cannot nest
     /// inside [`Intermittent`](Self::Intermittent) /
     /// [`OpSelective`](Self::OpSelective) combinators.
-    pub fn is_injector_level(&self) -> bool {
+    pub(crate) fn is_injector_level(&self) -> bool {
         matches!(
             self,
             FaultModelSpec::VoltageLinked { .. }
@@ -580,45 +362,32 @@ impl FaultModelSpec {
         )
     }
 
+    /// Panics if a combinator anywhere in this spec nests an
+    /// injector-level spec. The constructors and the JSON parser already
+    /// refuse that; this catches specs assembled as enum literals, whose
+    /// inner spec would otherwise silently lose its rate or persistence
+    /// semantics.
+    pub(crate) fn assert_nestable(&self) {
+        if let FaultModelSpec::Intermittent { inner, .. }
+        | FaultModelSpec::OpSelective { inner, .. } = self
+        {
+            assert!(
+                !inner.is_injector_level(),
+                "{} is injector-level and cannot nest inside a combinator",
+                inner.name()
+            );
+            inner.assert_nestable();
+        }
+    }
+
     /// The fixed fault rate this spec mandates, if any: a
     /// [`VoltageLinked`](Self::VoltageLinked) spec pins the injector to
     /// the rate its voltage implies, overriding the grid rate.
-    pub fn rate_override(&self) -> Option<FaultRate> {
+    pub(crate) fn rate_override(&self) -> Option<FaultRate> {
         match self {
             FaultModelSpec::VoltageLinked { model, voltage } => Some(model.fault_rate_at(*voltage)),
             _ => None,
         }
-    }
-
-    /// The `(end_flop_exclusive, rate)` segments of a
-    /// [`DvfsSchedule`](Self::DvfsSchedule) spec, the final segment
-    /// extended to `u64::MAX` (the last step's voltage persists past the
-    /// schedule's end). `None` for every other variant. This is the
-    /// single source of the schedule-to-rate mapping:
-    /// [`dvfs_rate_at`](Self::dvfs_rate_at) and
-    /// [`NoisyFpu`](crate::NoisyFpu)'s strike scheduler both read it.
-    pub fn dvfs_segments(&self) -> Option<Vec<(u64, f64)>> {
-        let FaultModelSpec::DvfsSchedule { model, steps } = self else {
-            return None;
-        };
-        let mut segments = Vec::with_capacity(steps.len() + 1);
-        let mut end = 0u64;
-        for step in steps {
-            end = end.saturating_add(step.flops);
-            segments.push((end, model.error_rate(step.voltage).min(1.0)));
-        }
-        let last = segments.last().expect("schedule is non-empty").1;
-        segments.push((u64::MAX, last));
-        Some(segments)
-    }
-
-    /// The per-op fault rate at FLOP index `flop` for a
-    /// [`DvfsSchedule`](Self::DvfsSchedule) spec (`None` for every other
-    /// variant): the rate of the step covering `flop`, with the last
-    /// step's voltage persisting past the schedule's end.
-    pub fn dvfs_rate_at(&self, flop: u64) -> Option<f64> {
-        self.dvfs_segments()
-            .map(|segments| dvfs_segment_rate(&segments, flop))
     }
 
     /// The fixed operating voltage this spec pins the FPU to
@@ -665,16 +434,6 @@ impl FaultModelSpec {
                 }
                 Some(energy)
             }
-            _ => None,
-        }
-    }
-
-    /// The memory-persistence model of a [`Memory`](Self::Memory) spec
-    /// (`None` for transient scenarios) — the hook
-    /// [`NoisyFpu`](crate::NoisyFpu) uses to allocate shadow state.
-    pub fn memory_model(&self) -> Option<&MemoryFaultModel> {
-        match self {
-            FaultModelSpec::Memory { model } => Some(model),
             _ => None,
         }
     }
@@ -730,8 +489,30 @@ impl FaultModelSpec {
     /// A short stable name (used as the default case label suffix and the
     /// CSV `fault_model` column).
     pub fn name(&self) -> String {
-        // Delegate to the built model so spec and model never disagree.
-        self.build().name()
+        match self {
+            FaultModelSpec::Transient { model } => format!("transient_{}", model.kind()),
+            FaultModelSpec::StuckAt {
+                bit, stuck_to_one, ..
+            } => format!("stuck{}_bit{bit}", u8::from(*stuck_to_one)),
+            FaultModelSpec::Burst { model, length } => format!("burst{length}_{}", model.kind()),
+            FaultModelSpec::Operand { model } => format!("operand_{}", model.kind()),
+            FaultModelSpec::Intermittent { inner, duty, .. } => format!(
+                "intermittent{}_{}",
+                (duty * 100.0).round() as u64,
+                inner.name()
+            ),
+            FaultModelSpec::OpSelective { inner, ops } => {
+                let ops: Vec<&str> = ops.iter().map(|op| op.name()).collect();
+                format!("only_{}_{}", ops.join("+"), inner.name())
+            }
+            FaultModelSpec::VoltageLinked { voltage, .. } => {
+                format!("vdd{voltage:.3}_transient_emulated")
+            }
+            FaultModelSpec::DvfsSchedule { steps, .. } => {
+                format!("dvfs{}step_transient_emulated", steps.len())
+            }
+            FaultModelSpec::Memory { model } => model.name(),
+        }
     }
 
     /// Serializes the spec to a single-line JSON object — the wire format
@@ -956,75 +737,91 @@ impl FaultModelSpec {
         crate::json::fnv1a_64(self.to_json().as_bytes())
     }
 
-    /// Instantiates the corruption strategy this spec describes.
-    pub fn build(&self) -> Arc<dyn FaultModel> {
+    /// Produces the committed result of `op(a, b)` (whose exact value is
+    /// `exact`, at zero-based FLOP index `flop` of the trial) when the
+    /// injector's schedule strikes, recording any injected fault into
+    /// `stats`. Every draw comes from `lfsr`, so the result is
+    /// seed-deterministic. Scenarios that decline a strike (outside an
+    /// intermittent window, on a non-selected op, a stuck bit already at
+    /// its stuck value) return `exact` and record nothing.
+    ///
+    /// Memory specs never reach here: their strikes install persistent
+    /// damage into [`NoisyFpu`](crate::NoisyFpu)'s shadow state instead.
+    /// Kept out of line: strikes are the rare path, and the per-op
+    /// `execute` that calls this stays small.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    pub(crate) fn corrupt(
+        &self,
+        op: FlopOp,
+        a: f64,
+        b: f64,
+        exact: f64,
+        flop: u64,
+        lfsr: &mut Lfsr,
+        stats: &mut FaultStats,
+    ) -> f64 {
         match self {
-            FaultModelSpec::Transient { model } => Arc::new(TransientFlip {
-                model: model.clone(),
-            }),
+            FaultModelSpec::Transient { model } => transient_flip(model, exact, lfsr, stats),
             FaultModelSpec::StuckAt {
                 bit,
                 stuck_to_one,
                 width,
-            } => Arc::new(StuckAtFault {
-                bit: *bit,
-                stuck_to_one: *stuck_to_one,
-                width: *width,
-            }),
-            FaultModelSpec::Burst { model, length } => Arc::new(BurstFlip {
-                model: model.clone(),
-                length: *length,
-            }),
-            FaultModelSpec::Operand { model } => Arc::new(OperandFlip {
-                model: model.clone(),
-            }),
+            } => {
+                let (forced, changed) = force_bit(exact, *bit, *stuck_to_one, *width);
+                if changed {
+                    stats.record_fault(*width, *bit);
+                }
+                forced
+            }
+            FaultModelSpec::Burst { model, length } => {
+                let width = model.width();
+                let start = model.sample_bit(lfsr);
+                // One fault event, recorded at its primary (sampled)
+                // position; the burst is clamped at the encoding's top.
+                stats.record_fault(width, start);
+                (start..(start + length).min(width.bits()))
+                    .fold(exact, |value, bit| flip_bit(value, bit, width))
+            }
+            FaultModelSpec::Operand { model } => {
+                let bit = model.sample_bit(lfsr);
+                stats.record_fault(model.width(), bit);
+                // Unary ops only have operand `a`; binary ops pick one by
+                // an LFSR coin flip (drawn after the bit so the bit
+                // distribution matches the configured model exactly).
+                if matches!(op, FlopOp::Sqrt) || lfsr.next_f64() < 0.5 {
+                    op.exact(flip_bit(a, bit, model.width()), b)
+                } else {
+                    op.exact(a, flip_bit(b, bit, model.width()))
+                }
+            }
             FaultModelSpec::Intermittent {
                 inner,
                 duty,
                 period,
             } => {
-                // Belt-and-braces for specs assembled as enum literals,
-                // bypassing the constructor's nesting guard: an
-                // injector-level inner would silently lose its rate /
-                // persistence semantics here.
-                assert!(
-                    !inner.is_injector_level(),
-                    "{} is injector-level and cannot nest inside a combinator",
-                    inner.name()
-                );
-                Arc::new(DutyCycleFault {
-                    inner: inner.build(),
-                    duty: *duty,
-                    period: *period,
-                    active: ((duty * *period as f64).round() as u64).clamp(1, *period),
-                })
+                let active = ((duty * *period as f64).round() as u64).clamp(1, *period);
+                if flop % period < active {
+                    inner.corrupt(op, a, b, exact, flop, lfsr, stats)
+                } else {
+                    exact
+                }
             }
             FaultModelSpec::OpSelective { inner, ops } => {
-                assert!(
-                    !inner.is_injector_level(),
-                    "{} is injector-level and cannot nest inside a combinator",
-                    inner.name()
-                );
-                Arc::new(OpSelectiveFault {
-                    inner: inner.build(),
-                    ops: ops.clone(),
-                })
+                if ops.contains(&op) {
+                    inner.corrupt(op, a, b, exact, flop, lfsr, stats)
+                } else {
+                    exact
+                }
             }
-            FaultModelSpec::VoltageLinked { voltage, .. } => Arc::new(VoltageLinkedFlip {
-                name: format!("vdd{voltage:.3}_transient_emulated"),
-                inner: TransientFlip {
-                    model: BitFaultModel::emulated(),
-                },
-            }),
-            FaultModelSpec::DvfsSchedule { steps, .. } => Arc::new(VoltageLinkedFlip {
-                name: format!("dvfs{}step_transient_emulated", steps.len()),
-                inner: TransientFlip {
-                    model: BitFaultModel::emulated(),
-                },
-            }),
-            FaultModelSpec::Memory { model } => Arc::new(MemoryShadowFault {
-                model: model.clone(),
-            }),
+            // The voltage sets the strike *rate* (the injector's schedule);
+            // each strike is the paper's emulated-distribution flip.
+            FaultModelSpec::VoltageLinked { .. } | FaultModelSpec::DvfsSchedule { .. } => {
+                transient_flip(emulated_bits(), exact, lfsr, stats)
+            }
+            FaultModelSpec::Memory { .. } => {
+                unreachable!("memory faults are installed into shadow state, not corrupted")
+            }
         }
     }
 }
@@ -1046,17 +843,21 @@ impl From<BitFaultModel> for FaultModelSpec {
     }
 }
 
-/// Looks up the rate of the segment covering `flop` in a
-/// [`FaultModelSpec::dvfs_segments`] list — the single lookup rule shared
-/// by `dvfs_rate_at` and `NoisyFpu`'s strike scheduler. The final segment
-/// ends at `u64::MAX`, so the scan only falls through to the last
-/// segment's rate at `flop == u64::MAX` itself.
-pub(crate) fn dvfs_segment_rate(segments: &[(u64, f64)], flop: u64) -> f64 {
+/// The `(end_flop_exclusive, rate)` segments of a
+/// [`FaultModelSpec::DvfsSchedule`], the final segment extended to
+/// `u64::MAX` (the last step's voltage persists past the schedule's end) —
+/// the schedule-to-rate mapping [`NoisyFpu`](crate::NoisyFpu)'s strike
+/// scheduler walks.
+pub(crate) fn dvfs_segments(model: &VoltageErrorModel, steps: &[DvfsStep]) -> Vec<(u64, f64)> {
+    let mut segments = Vec::with_capacity(steps.len() + 1);
+    let mut end = 0u64;
+    for step in steps {
+        end = end.saturating_add(step.flops);
+        segments.push((end, model.error_rate(step.voltage).min(1.0)));
+    }
+    let last = segments.last().expect("schedule is non-empty").1;
+    segments.push((u64::MAX, last));
     segments
-        .iter()
-        .find(|&&(end, _)| flop < end)
-        .map(|&(_, rate)| rate)
-        .unwrap_or_else(|| segments.last().expect("schedule is non-empty").1)
 }
 
 fn width_name(width: BitWidth) -> &'static str {
@@ -1069,32 +870,24 @@ fn width_name(width: BitWidth) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fpu::{Fpu, NoisyFpu};
 
-    fn ctx(op: FlopOp, a: f64, b: f64, flop: u64) -> FaultCtx {
-        FaultCtx {
-            op,
-            a,
-            b,
-            exact: op.exact(a, b),
-            flop,
-        }
+    /// A scheduled strike of `spec` on `op(a, b)` at FLOP index `flop`.
+    fn strike(
+        spec: &FaultModelSpec,
+        (op, a, b, flop): (FlopOp, f64, f64, u64),
+        lfsr: &mut Lfsr,
+        stats: &mut FaultStats,
+    ) -> f64 {
+        spec.corrupt(op, a, b, op.exact(a, b), flop, lfsr, stats)
     }
 
-    /// Runs `n` strikes of `spec` with a fixed seed and returns the
+    /// Runs `n` ops of `spec` on an FPU that strikes every op (at the
+    /// voltage's own rate for a voltage-linked spec) and returns the
     /// committed values.
     fn strike_stream(spec: &FaultModelSpec, seed: u64, n: usize) -> Vec<f64> {
-        let model = spec.build();
-        let mut lfsr = Lfsr::new(seed);
-        let mut stats = FaultStats::default();
-        (0..n)
-            .map(|i| {
-                model.corrupt(
-                    &ctx(FlopOp::Mul, 3.0 + i as f64, 5.0, i as u64),
-                    &mut lfsr,
-                    &mut stats,
-                )
-            })
-            .collect()
+        let mut fpu = NoisyFpu::new(FaultRate::per_flop(1.0), spec.clone(), seed);
+        (0..n).map(|i| fpu.mul(3.0 + i as f64, 5.0)).collect()
     }
 
     fn family() -> Vec<FaultModelSpec> {
@@ -1154,22 +947,25 @@ mod tests {
 
     #[test]
     fn transient_matches_the_legacy_injector_path() {
-        // The compatibility contract: TransientFlip consumes exactly one
+        // The compatibility contract: a transient strike consumes exactly one
         // LFSR f64 draw and flips exactly the sampled bit, byte-for-byte
         // what NoisyFpu did before the trait existed.
         let bit_model = BitFaultModel::emulated();
         let spec = FaultModelSpec::transient(bit_model.clone());
-        let model = spec.build();
         let mut lfsr_a = Lfsr::new(99);
         let mut lfsr_b = Lfsr::new(99);
         let mut stats = FaultStats::default();
         for i in 0..512u64 {
-            let c = ctx(FlopOp::Add, i as f64, 0.5, i);
-            let got = model.corrupt(&c, &mut lfsr_a, &mut stats);
+            let got = strike(
+                &spec,
+                (FlopOp::Add, i as f64, 0.5, i),
+                &mut lfsr_a,
+                &mut stats,
+            );
             let bit = bit_model.sample_bit(&mut lfsr_b);
             assert_eq!(
                 got.to_bits(),
-                flip_bit(c.exact, bit, BitWidth::F64).to_bits()
+                flip_bit(i as f64 + 0.5, bit, BitWidth::F64).to_bits()
             );
             assert_eq!(lfsr_a.state(), lfsr_b.state(), "extra LFSR draws");
         }
@@ -1179,29 +975,26 @@ mod tests {
     #[test]
     fn stuck_at_forces_and_skips_invisible_strikes() {
         let spec = FaultModelSpec::stuck_at(63, true, BitWidth::F64);
-        let model = spec.build();
         let mut lfsr = Lfsr::new(1);
         let mut stats = FaultStats::default();
         // 2.0 has sign bit 0: the strike forces it negative and records.
-        let c = ctx(FlopOp::Add, 1.0, 1.0, 0);
-        assert_eq!(model.corrupt(&c, &mut lfsr, &mut stats), -2.0);
+        let add = (FlopOp::Add, 1.0, 1.0, 0);
+        assert_eq!(strike(&spec, add, &mut lfsr, &mut stats), -2.0);
         assert_eq!(stats.faults(), 1);
         // -2.0 already has sign bit 1: invisible, nothing recorded.
-        let c = ctx(FlopOp::Sub, -1.0, 1.0, 1);
-        assert_eq!(model.corrupt(&c, &mut lfsr, &mut stats), -2.0);
+        let sub = (FlopOp::Sub, -1.0, 1.0, 1);
+        assert_eq!(strike(&spec, sub, &mut lfsr, &mut stats), -2.0);
         assert_eq!(stats.faults(), 1);
     }
 
     #[test]
     fn burst_flips_adjacent_bits() {
         let spec = FaultModelSpec::burst(4, BitFaultModel::lsb_only(BitWidth::F64));
-        let model = spec.build();
         let mut lfsr = Lfsr::new(5);
         let mut stats = FaultStats::default();
         for i in 0..64u64 {
-            let c = ctx(FlopOp::Mul, 3.0, 5.0, i);
-            let got = model.corrupt(&c, &mut lfsr, &mut stats);
-            let diff = c.exact.to_bits() ^ got.to_bits();
+            let got = strike(&spec, (FlopOp::Mul, 3.0, 5.0, i), &mut lfsr, &mut stats);
+            let diff = 15.0f64.to_bits() ^ got.to_bits();
             assert_eq!(diff.count_ones(), 4, "burst should flip 4 bits");
             // Adjacency: the flipped bits form one contiguous run.
             let shifted = diff >> diff.trailing_zeros();
@@ -1213,13 +1006,11 @@ mod tests {
     #[test]
     fn operand_faults_produce_exact_results_of_wrong_inputs() {
         let spec = FaultModelSpec::operand(BitFaultModel::uniform(BitWidth::F64));
-        let model = spec.build();
         let mut lfsr = Lfsr::new(3);
         let mut stats = FaultStats::default();
         let mut changed = 0;
         for i in 0..256u64 {
-            let c = ctx(FlopOp::Mul, 3.0, 5.0, i);
-            let got = model.corrupt(&c, &mut lfsr, &mut stats);
+            let got = strike(&spec, (FlopOp::Mul, 3.0, 5.0, i), &mut lfsr, &mut stats);
             // The result is some a' * 5.0 or 3.0 * b' where the primed
             // operand differs from the original in exactly one bit.
             let as_a = got / 5.0;
@@ -1231,7 +1022,7 @@ mod tests {
                 one_bit(as_a, 3.0) || one_bit(as_b, 5.0) || !got.is_finite(),
                 "strike {i}: {got} is not an exact product of a one-bit-off operand"
             );
-            if got != c.exact {
+            if got != 15.0 {
                 changed += 1;
             }
         }
@@ -1242,7 +1033,6 @@ mod tests {
     #[test]
     fn sqrt_operand_faults_land_on_the_only_operand() {
         let spec = FaultModelSpec::operand(BitFaultModel::uniform(BitWidth::F64));
-        let model = spec.build();
         let mut lfsr = Lfsr::new(17);
         let mut stats = FaultStats::default();
         // Every possible outcome: sqrt of a one-bit-off 9.0.
@@ -1254,8 +1044,7 @@ mod tests {
             })
             .collect();
         for i in 0..64u64 {
-            let c = ctx(FlopOp::Sqrt, 9.0, 0.0, i);
-            let got = model.corrupt(&c, &mut lfsr, &mut stats);
+            let got = strike(&spec, (FlopOp::Sqrt, 9.0, 0.0, i), &mut lfsr, &mut stats);
             assert!(
                 outcomes.contains(&got.to_bits()),
                 "sqrt fault must corrupt the single operand (got {got})"
@@ -1266,14 +1055,12 @@ mod tests {
     #[test]
     fn intermittent_is_silent_outside_the_window() {
         let spec = FaultModelSpec::intermittent(0.25, 100, FaultModelSpec::default());
-        let model = spec.build();
         let mut lfsr = Lfsr::new(7);
         let mut stats = FaultStats::default();
         for flop in 0..1000u64 {
-            let c = ctx(FlopOp::Add, 1.0, 2.0, flop);
-            let got = model.corrupt(&c, &mut lfsr, &mut stats);
+            let got = strike(&spec, (FlopOp::Add, 1.0, 2.0, flop), &mut lfsr, &mut stats);
             if flop % 100 >= 25 {
-                assert_eq!(got, c.exact, "fault outside duty window at {flop}");
+                assert_eq!(got, 3.0, "fault outside duty window at {flop}");
             }
         }
         assert!(stats.faults() > 0, "in-window strikes must fault");
@@ -1286,16 +1073,14 @@ mod tests {
             vec![FlopOp::Mul, FlopOp::Div],
             FaultModelSpec::transient(BitFaultModel::msb_only(BitWidth::F64)),
         );
-        let model = spec.build();
         let mut lfsr = Lfsr::new(13);
         let mut stats = FaultStats::default();
         for i in 0..100u64 {
-            let c = ctx(FlopOp::Add, 1.0, 2.0, i);
-            assert_eq!(model.corrupt(&c, &mut lfsr, &mut stats), 3.0);
+            let add = (FlopOp::Add, 1.0, 2.0, i);
+            assert_eq!(strike(&spec, add, &mut lfsr, &mut stats), 3.0);
         }
         assert_eq!(stats.faults(), 0);
-        let c = ctx(FlopOp::Mul, 3.0, 5.0, 0);
-        let got = model.corrupt(&c, &mut lfsr, &mut stats);
+        let got = strike(&spec, (FlopOp::Mul, 3.0, 5.0, 0), &mut lfsr, &mut stats);
         assert_ne!(got, 15.0, "MSB flips always change a finite value");
         assert_eq!(stats.faults(), 1);
     }
@@ -1421,12 +1206,19 @@ mod tests {
             ],
         );
         assert_eq!(spec.name(), "dvfs2step_transient_emulated");
-        assert_eq!(spec.dvfs_rate_at(0), Some(model.error_rate(0.9)));
-        assert_eq!(spec.dvfs_rate_at(99), Some(model.error_rate(0.9)));
-        assert_eq!(spec.dvfs_rate_at(100), Some(model.error_rate(0.7)));
-        // The last step's voltage persists past the schedule's end.
-        assert_eq!(spec.dvfs_rate_at(10_000), Some(model.error_rate(0.7)));
-        assert_eq!(FaultModelSpec::default().dvfs_rate_at(0), None);
+        let FaultModelSpec::DvfsSchedule { steps, .. } = &spec else {
+            unreachable!("dvfs() builds a schedule");
+        };
+        // Steps end at FLOPs 100 and 150; the last step's voltage
+        // persists past the schedule's end.
+        assert_eq!(
+            dvfs_segments(&model, steps),
+            [
+                (100, model.error_rate(0.9)),
+                (150, model.error_rate(0.7)),
+                (u64::MAX, model.error_rate(0.7)),
+            ]
+        );
         // Piecewise energy: 100 FLOPs at 0.9, 50 at 0.7, 850 at 0.7.
         let expected = model.energy(100, 0.9) + model.energy(50, 0.7) + model.energy(850, 0.7);
         let got = spec.energy_for_flops(1000).expect("dvfs has energy");
@@ -1441,9 +1233,9 @@ mod tests {
     fn memory_specs_expose_their_model() {
         let spec = FaultModelSpec::register_file(32, BitFaultModel::emulated(), 500);
         assert_eq!(spec.name(), "regfile32_scrub500_emulated");
-        assert!(spec.memory_model().is_some());
+        assert!(matches!(&spec, FaultModelSpec::Memory { model } if model.slots() == 32));
         assert!(spec.is_injector_level());
-        assert_eq!(FaultModelSpec::default().memory_model(), None);
+        assert!(!FaultModelSpec::default().is_injector_level());
         let array = FaultModelSpec::array_resident(8, BitFaultModel::emulated(), 0);
         assert_eq!(array.name(), "array8_scrub0_emulated");
         assert!(array.to_json().contains("\"kind\":\"array_resident\""));
@@ -1463,7 +1255,8 @@ mod tests {
     #[should_panic(expected = "injector-level")]
     fn literal_nested_injector_specs_fail_at_build() {
         // Assembling the enum directly bypasses the constructor guard;
-        // build() still refuses to silently degrade the semantics.
+        // building an injector on it still refuses to silently degrade
+        // the semantics.
         let spec = FaultModelSpec::OpSelective {
             inner: Box::new(FaultModelSpec::array_resident(
                 8,
@@ -1472,7 +1265,7 @@ mod tests {
             )),
             ops: vec![FlopOp::Mul],
         };
-        spec.build();
+        NoisyFpu::new(FaultRate::per_flop(0.5), spec, 1);
     }
 
     #[test]
