@@ -1035,7 +1035,8 @@ fn committed_exact(op: FlopOp, a: f64, b: f64) -> f64 {
 }
 
 /// Steps a constant-rate countdown by one op; `true` when the op strikes
-/// (and the next interval has been drawn).
+/// (and the next interval has been drawn). A zero countdown is a zero
+/// rate and never strikes.
 fn countdown_strikes(countdown: &mut u64, rate: FaultRate, lfsr: &mut Lfsr) -> bool {
     match *countdown {
         0 => false,
@@ -1050,29 +1051,17 @@ fn countdown_strikes(countdown: &mut u64, rate: FaultRate, lfsr: &mut Lfsr) -> b
     }
 }
 
-impl Injector {
-    /// Whether the schedule strikes at FLOP index `flop`.
-    ///
-    /// Constant-rate specs replay the paper's LFSR interval schedule
-    /// exactly; DVFS specs draw a per-op Bernoulli at the rate of the
-    /// voltage step covering `flop`, so the strike density tracks the
-    /// schedule with no lag.
-    fn strikes(&mut self, flop: u64, rate: FaultRate, lfsr: &mut Lfsr) -> bool {
-        match self {
-            Injector::Countdown(countdown) | Injector::Memory { countdown, .. } => {
-                countdown_strikes(countdown, rate, lfsr)
-            }
-            Injector::Dvfs { segments, cursor } => {
-                // FLOP indices only grow, so the cursor only moves forward;
-                // it never steps past the final `u64::MAX` segment.
-                while *cursor + 1 < segments.len() && flop >= segments[*cursor].0 {
-                    *cursor += 1;
-                }
-                let rate = segments[*cursor].1;
-                rate > 0.0 && lfsr.next_f64() < rate
-            }
-        }
+/// Steps a DVFS schedule to FLOP `flop`; `true` when the op strikes. A
+/// per-op Bernoulli draw at the rate of the voltage step covering `flop`,
+/// so the strike density tracks the schedule with no lag.
+fn dvfs_strikes(segments: &[(u64, f64)], cursor: &mut usize, flop: u64, lfsr: &mut Lfsr) -> bool {
+    // FLOP indices only grow, so the cursor only moves forward; it never
+    // steps past the final `u64::MAX` segment.
+    while *cursor + 1 < segments.len() && flop >= segments[*cursor].0 {
+        *cursor += 1;
     }
+    let rate = segments[*cursor].1;
+    rate > 0.0 && lfsr.next_f64() < rate
 }
 
 impl NoisyFpu {
@@ -1171,7 +1160,15 @@ impl Fpu for NoisyFpu {
     fn execute(&mut self, op: FlopOp, a: f64, b: f64) -> f64 {
         let flop = self.flops;
         self.flops += 1;
-        match &mut self.injector {
+        let (exact, strike) = match &mut self.injector {
+            Injector::Countdown(countdown) => (
+                committed_exact(op, a, b),
+                countdown_strikes(countdown, self.rate, &mut self.lfsr),
+            ),
+            Injector::Dvfs { segments, cursor } => (
+                committed_exact(op, a, b),
+                dvfs_strikes(segments, cursor, flop, &mut self.lfsr),
+            ),
             Injector::Memory { countdown, state } => {
                 state.begin_op(flop);
                 let (a, b) = state.load_operands(flop, a, b);
@@ -1184,17 +1181,14 @@ impl Fpu for NoisyFpu {
                 if strike {
                     state.install(&mut self.lfsr, &mut self.stats);
                 }
-                committed
+                return committed;
             }
-            injector => {
-                let exact = committed_exact(op, a, b);
-                if injector.strikes(flop, self.rate, &mut self.lfsr) {
-                    self.spec
-                        .corrupt(op, a, b, exact, flop, &mut self.lfsr, &mut self.stats)
-                } else {
-                    exact
-                }
-            }
+        };
+        if strike {
+            self.spec
+                .corrupt(op, a, b, exact, flop, &mut self.lfsr, &mut self.stats)
+        } else {
+            exact
         }
     }
 
@@ -1239,9 +1233,8 @@ impl Fpu for NoisyFpu {
         match &mut self.injector {
             // A zero-rate countdown stays at zero (never strikes).
             Injector::Countdown(countdown) => *countdown = countdown.saturating_sub(n),
-            Injector::Dvfs { .. } | Injector::Memory { .. } => {
-                unreachable!("only constant-rate injectors report an exact window")
-            }
+            // No window: the assert above holds these to n == 0.
+            Injector::Dvfs { .. } | Injector::Memory { .. } => {}
         }
     }
 }
@@ -1673,6 +1666,16 @@ mod tests {
         // Zero-rate constant specs are exact forever.
         let zero = NoisyFpu::new(FaultRate::ZERO, BitFaultModel::emulated(), 2);
         assert_eq!(zero.run_exact(u64::MAX), u64::MAX);
+    }
+
+    #[test]
+    fn empty_commits_are_accepted_by_windowless_specs() {
+        for preset in ["memory", "regfile", "dvfs"] {
+            let spec = FaultModelSpec::from_preset(preset).expect("shipped preset");
+            let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), spec, 2);
+            fpu.commit_exact(0);
+            assert_eq!(fpu.flops(), 0, "{preset}");
+        }
     }
 
     #[test]

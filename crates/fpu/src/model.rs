@@ -882,12 +882,22 @@ mod tests {
         spec.corrupt(op, a, b, op.exact(a, b), flop, lfsr, stats)
     }
 
-    /// Runs `n` ops of `spec` on an FPU that strikes every op (at the
-    /// voltage's own rate for a voltage-linked spec) and returns the
-    /// committed values.
+    /// Strikes every one of `n` ops of `spec` and returns the committed
+    /// values. Memory specs keep shadow state, so they run on an FPU at
+    /// rate 1; every other spec is corrupted directly on each op.
     fn strike_stream(spec: &FaultModelSpec, seed: u64, n: usize) -> Vec<f64> {
-        let mut fpu = NoisyFpu::new(FaultRate::per_flop(1.0), spec.clone(), seed);
-        (0..n).map(|i| fpu.mul(3.0 + i as f64, 5.0)).collect()
+        if let FaultModelSpec::Memory { .. } = spec {
+            let mut fpu = NoisyFpu::new(FaultRate::per_flop(1.0), spec.clone(), seed);
+            return (0..n).map(|i| fpu.mul(3.0 + i as f64, 5.0)).collect();
+        }
+        let mut lfsr = Lfsr::new(seed);
+        let mut stats = FaultStats::default();
+        (0..n)
+            .map(|i| {
+                let op = (FlopOp::Mul, 3.0 + i as f64, 5.0, i as u64);
+                strike(spec, op, &mut lfsr, &mut stats)
+            })
+            .collect()
     }
 
     fn family() -> Vec<FaultModelSpec> {
