@@ -24,10 +24,12 @@
 //! [`RobustProblem`](robustify_core::RobustProblem), so any of them can be
 //! paired with any declarative [`SolverSpec`](robustify_core::SolverSpec)
 //! and swept in parallel by `robustify_engine` — the experiment binaries in
-//! `robustify_bench` are thin sweep descriptions over exactly this
-//! interface. (The old serial `harness::TrialConfig` shim is gone; build a
-//! [`SweepSpec`](robustify_engine::SweepSpec) instead — the engine keeps
-//! the shim's exact per-trial seeding via
+//! `robustify_bench` are thin campaign descriptions over exactly this
+//! interface. (The old serial `harness::TrialConfig` shim is gone; register
+//! the problem in a
+//! [`WorkloadRegistry`](robustify_core::WorkloadRegistry) and run a
+//! [`CampaignSpec`](robustify_engine::campaign::CampaignSpec) instead — the
+//! engine keeps the shim's exact per-trial seeding via
 //! [`derive_trial_seed`](robustify_engine::derive_trial_seed).)
 
 #![deny(missing_docs)]

@@ -5,16 +5,16 @@
 //! in the slow mantissa datapath (large but bounded relative errors); a
 //! hypothetical exponent-heavy injector would produce mostly catastrophic
 //! errors and collapse every solver long before 50%. This table makes that
-//! dependence explicit on the sorting workload — one engine sweep where
-//! the *case* axis overrides the injector.
+//! dependence explicit on the sorting workload — one campaign where each
+//! job overrides the injector, so this binary also accepts
+//! `--server ADDR` and `--cache-dir PATH`.
 
 #![forbid(unsafe_code)]
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use robustify_apps::sorting::SortProblem;
+use robustify_bench::workloads::paper_registry;
 use robustify_bench::{success_table, ExperimentOptions};
 use robustify_core::{AggressiveStepping, GradientGuard, SolverSpec, StepSchedule};
-use robustify_engine::{extended_fault_rates, SweepCase};
+use robustify_engine::campaign::JobSpec;
+use robustify_engine::extended_fault_rates;
 use stochastic_fpu::{BitFaultModel, BitWidth, FaultModelSpec};
 
 fn main() {
@@ -51,19 +51,22 @@ fn main() {
             FaultModelSpec::operand(BitFaultModel::emulated()),
         ),
     ];
-    let cases: Vec<SweepCase> = models
-        .into_iter()
-        .map(|(label, model)| {
-            SweepCase::problem(label, spec.clone(), |seed| {
-                SortProblem::random(&mut StdRng::seed_from_u64(seed), 5)
-            })
-            .with_model(model)
-        })
-        .collect();
+    let mut campaign = opts
+        .campaign("ablation_fault_model")
+        .rates(extended_fault_rates())
+        .trials(trials);
+    for (label, model) in models {
+        campaign = campaign.job(
+            JobSpec::new(label, "sorting")
+                .per_trial()
+                .with_solver(spec.clone())
+                .with_fault_model(model),
+        );
+    }
 
-    let result = opts
-        .sweep("ablation_fault_model", extended_fault_rates(), trials)
-        .run(&cases);
+    let Some(result) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
+    };
     let table = success_table(
         &format!("Fault-model ablation — robust sort success rate ({trials} trials/point)"),
         &result,

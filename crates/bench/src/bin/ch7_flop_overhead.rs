@@ -4,133 +4,78 @@
 //! our applications could be up to 10 to 1000 times higher than that for
 //! the baseline implementations." This harness measures exactly that ratio
 //! for every application, at a 0% fault rate so both sides run their
-//! nominal FLOP counts — one engine sweep whose cells are
+//! nominal FLOP counts — one campaign whose cells are
 //! `(app × {baseline, robust})` and whose FLOP totals come from the
-//! engine's per-cell accounting.
+//! engine's per-cell accounting. As a campaign it also accepts
+//! `--server ADDR` and `--cache-dir PATH`.
 
 #![forbid(unsafe_code)]
-use robustify_bench::workloads::{
-    paper_apsp, paper_doubly_stochastic, paper_eigen, paper_iir_problem, paper_least_squares,
-    paper_matching, paper_maxflow, paper_sort,
-};
+use robustify_bench::workloads::{paper_iir_problem, paper_least_squares, paper_registry};
 use robustify_bench::{ExperimentOptions, Table};
-use robustify_core::{Annealing, RobustProblem, SolverSpec, StepSchedule};
-use robustify_engine::SweepCase;
+use robustify_core::{Annealing, SolverSpec, StepSchedule};
+use robustify_engine::campaign::JobSpec;
 
 fn main() {
     let opts = ExperimentOptions::parse();
 
-    let lsq = paper_least_squares(opts.seed);
-    let lsq_gamma0 = lsq.default_gamma0();
-    let iir = paper_iir_problem(opts.seed);
-    let iir_gamma0 = iir.default_gamma0();
-    let anneal_lp = |gamma0: f64| {
-        SolverSpec::sgd(8000, StepSchedule::Sqrt { gamma0 }).with_annealing(Annealing::default())
-    };
+    // Every job solves the one instance its workload materializes at the
+    // base seed, so the instance-tuned step sizes derive from it.
+    let lsq_gamma0 = paper_least_squares(opts.seed).default_gamma0();
+    let iir_gamma0 = paper_iir_problem(opts.seed).default_gamma0();
+    let sqs = |iters: usize, gamma0: f64| SolverSpec::sgd(iters, StepSchedule::Sqrt { gamma0 });
+    let anneal_lp = |gamma0: f64| sqs(8000, gamma0).with_annealing(Annealing::default());
+    let svd = || SolverSpec::baseline_variant("svd");
+    let base = SolverSpec::baseline;
 
-    // One (baseline, robust) case pair per application; `CG` is the extra
-    // least squares data point of §6.3.
-    fn pair<P: RobustProblem + Clone + Sync + 'static>(
-        cases: &mut Vec<SweepCase>,
-        rows: &mut Vec<(String, usize, usize)>,
-        label: &str,
-        problem: P,
-        robust: SolverSpec,
-    ) {
-        pair_with(cases, rows, label, problem, SolverSpec::baseline(), robust);
-    }
-    fn pair_with<P: RobustProblem + Clone + Sync + 'static>(
-        cases: &mut Vec<SweepCase>,
-        rows: &mut Vec<(String, usize, usize)>,
-        label: &str,
-        problem: P,
-        baseline: SolverSpec,
-        robust: SolverSpec,
-    ) {
-        let base_idx = cases.len();
-        cases.push(SweepCase::fixed(
-            &format!("{label}/baseline"),
-            baseline,
-            problem.clone(),
-        ));
-        cases.push(SweepCase::fixed(
-            &format!("{label}/robust"),
-            robust,
-            problem,
-        ));
-        rows.push((label.to_string(), base_idx, base_idx + 1));
-    }
-
-    let mut cases = Vec::new();
-    let mut rows = Vec::new();
-    pair_with(
-        &mut cases,
-        &mut rows,
-        "least_squares (vs SVD)",
-        lsq.clone(),
-        SolverSpec::baseline_variant("svd"),
-        SolverSpec::sgd(1000, StepSchedule::Linear { gamma0: lsq_gamma0 }),
-    );
-    pair_with(
-        &mut cases,
-        &mut rows,
-        "least_squares CG (vs SVD)",
-        lsq,
-        SolverSpec::baseline_variant("svd"),
-        SolverSpec::cg(10),
-    );
-    pair(
-        &mut cases,
-        &mut rows,
-        "iir",
-        iir,
-        SolverSpec::sgd(1000, StepSchedule::Sqrt { gamma0: iir_gamma0 }),
-    );
-    pair(
-        &mut cases,
-        &mut rows,
-        "sorting",
-        paper_sort(opts.seed),
-        SolverSpec::sgd(10_000, StepSchedule::Sqrt { gamma0: 0.1 }),
-    );
-    pair(
-        &mut cases,
-        &mut rows,
-        "matching",
-        paper_matching(opts.seed),
-        SolverSpec::sgd(10_000, StepSchedule::Sqrt { gamma0: 0.05 }),
-    );
-    pair(
-        &mut cases,
-        &mut rows,
-        "maxflow",
-        paper_maxflow(opts.seed),
-        anneal_lp(0.02),
-    );
-    pair(
-        &mut cases,
-        &mut rows,
-        "apsp",
-        paper_apsp(opts.seed),
-        anneal_lp(0.02),
-    );
-    pair(
-        &mut cases,
-        &mut rows,
-        "eigen (vs power iteration)",
-        paper_eigen(opts.seed),
-        SolverSpec::sgd(4000, StepSchedule::Sqrt { gamma0: 0.02 }),
-    );
-    pair(
-        &mut cases,
-        &mut rows,
-        "doubly_stochastic (vs Hungarian)",
-        paper_doubly_stochastic(opts.seed),
-        SolverSpec::sgd(3000, StepSchedule::Sqrt { gamma0: 0.05 }),
-    );
+    // One (baseline, robust) job pair per application, as
+    // `(row label, workload, baseline, robust)`; `CG` is the extra least
+    // squares data point of §6.3.
+    let pairs = [
+        (
+            "least_squares (vs SVD)",
+            "least_squares",
+            svd(),
+            SolverSpec::sgd(1000, StepSchedule::Linear { gamma0: lsq_gamma0 }),
+        ),
+        (
+            "least_squares CG (vs SVD)",
+            "least_squares",
+            svd(),
+            SolverSpec::cg(10),
+        ),
+        ("iir", "iir", base(), sqs(1000, iir_gamma0)),
+        ("sorting", "sorting", base(), sqs(10_000, 0.1)),
+        ("matching", "matching", base(), sqs(10_000, 0.05)),
+        ("maxflow", "maxflow", base(), anneal_lp(0.02)),
+        ("apsp", "apsp", base(), anneal_lp(0.02)),
+        (
+            "eigen (vs power iteration)",
+            "eigen",
+            base(),
+            sqs(4000, 0.02),
+        ),
+        (
+            "doubly_stochastic (vs Hungarian)",
+            "doubly_stochastic",
+            base(),
+            sqs(3000, 0.05),
+        ),
+    ];
 
     // Fault rate 0, one trial per cell: pure FLOP accounting.
-    let result = opts.sweep("ch7_flop_overhead", vec![0.0], 1).run(&cases);
+    let mut campaign = opts
+        .campaign("ch7_flop_overhead")
+        .rates(vec![0.0])
+        .trials(1);
+    for (label, workload, baseline, robust) in &pairs {
+        campaign = campaign
+            .job(JobSpec::new(&format!("{label}/baseline"), workload).with_solver(baseline.clone()))
+            .job(JobSpec::new(&format!("{label}/robust"), workload).with_solver(robust.clone()));
+    }
+
+    let Some(result) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
+    };
 
     let mut table = Table::new(
         "Chapter 7 — FLOP overhead of robustification (0% fault rate)",
@@ -141,11 +86,11 @@ fn main() {
             "overhead_x",
         ],
     );
-    for (label, base_idx, robust_idx) in rows {
-        let baseline = result.cell(base_idx, 0).flops();
-        let robust = result.cell(robust_idx, 0).flops();
+    for (i, (label, ..)) in pairs.iter().enumerate() {
+        let baseline = result.cell(2 * i, 0).flops();
+        let robust = result.cell(2 * i + 1, 0).flops();
         table.row(&[
-            label,
+            label.to_string(),
             baseline.to_string(),
             robust.to_string(),
             format!("{:.0}", robust as f64 / baseline.max(1) as f64),

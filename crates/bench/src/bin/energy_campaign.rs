@@ -35,7 +35,7 @@
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::paper_registry;
-use robustify_bench::{CampaignExecution, ExperimentOptions, Table};
+use robustify_bench::{ExperimentOptions, Table};
 use robustify_engine::campaign::{CampaignSpec, JobSpec};
 use stochastic_fpu::{BitFaultModel, FaultModelSpec, VoltageErrorModel};
 
@@ -112,22 +112,8 @@ fn main() {
     opts.validate_apps(&APPS);
     let campaign = build_campaign(&opts, voltages, trials);
 
-    let result = match opts.execute_campaign(&campaign, &paper_registry()) {
-        Ok(CampaignExecution::Local(run)) => run.result,
-        Ok(CampaignExecution::Remote(outcome)) => {
-            // Thin-client mode: the daemon's per-cell CSV (voltage +
-            // energy_per_trial columns) is the machine-readable frontier
-            // artifact, byte-identical to a local run's.
-            println!("\n-- engine csv --\n{}", outcome.csv);
-            if opts.json {
-                println!("\n-- json --\n{}", outcome.json);
-            }
-            return;
-        }
-        Err(e) => {
-            eprintln!("energy_campaign: {e}");
-            std::process::exit(1);
-        }
+    let Some(result) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
     };
 
     // The frontier table: one row per (app × scenario), the cheapest

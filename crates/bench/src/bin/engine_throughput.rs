@@ -1,5 +1,5 @@
 //! Engine throughput measurement: trials/second of a representative
-//! sorting sweep at 1 worker thread and across a thread-count curve, a
+//! sorting campaign at 1 worker thread and across a thread-count curve, a
 //! batched-vs-scalar FPU dispatch comparison, and cold-vs-warm campaign
 //! cache timings, emitted as JSON for the perf trajectory
 //! (`BENCH_engine.json`).
@@ -43,7 +43,7 @@ use robustify_core::{
     WorkloadRegistry,
 };
 use robustify_engine::campaign::{self, CampaignSpec, Instantiate, JobSpec, ResultCache};
-use robustify_engine::{derive_trial_seed, problem_seed, SweepCase, SweepResult, SweepSpec};
+use robustify_engine::{derive_trial_seed, problem_seed, SweepResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use stochastic_fpu::{FaultRate, Fpu, NoisyFpu};
@@ -66,26 +66,25 @@ fn specs() -> Vec<(&'static str, SolverSpec)> {
     ]
 }
 
-fn cases() -> Vec<SweepCase> {
-    specs()
-        .into_iter()
-        .map(|(label, spec)| {
-            SweepCase::problem(label, spec, |seed| {
-                SortProblem::random(&mut StdRng::seed_from_u64(seed), 5)
-            })
-        })
-        .collect()
+/// The sorting grid the throughput passes measure: one per-trial
+/// `sorting` job per solver in [`specs`].
+fn sort_campaign(opts: &ExperimentOptions, name: &str, trials: usize) -> CampaignSpec {
+    let mut spec = opts.campaign(name).rates(RATES_PCT.to_vec()).trials(trials);
+    for (label, solver) in specs() {
+        spec = spec.job(
+            JobSpec::new(label, "sorting")
+                .per_trial()
+                .with_solver(solver),
+        );
+    }
+    spec
 }
 
 fn run(opts: &ExperimentOptions, trials: usize, threads: usize) -> SweepResult {
-    SweepSpec::builder("engine_throughput")
-        .rates(RATES_PCT.to_vec())
-        .trials(trials)
-        .seed(opts.seed)
-        .model(opts.fault_model_spec())
-        .threads(threads)
-        .build()
-        .run(&cases())
+    let spec = sort_campaign(opts, "engine_throughput", trials).threads(threads);
+    campaign::run(&spec, &paper_registry(), None, |_| {})
+        .expect("sorting campaign")
+        .result
 }
 
 /// One serial pass over the whole grid with the FPU's skip-ahead fast path
@@ -129,17 +128,7 @@ fn manual_serial_run(
 /// `(cold_s, warm_s, cells)`.
 fn campaign_cache_timing(opts: &ExperimentOptions, trials: usize) -> (f64, f64, usize) {
     let registry = paper_registry();
-    let mut spec = opts
-        .campaign("engine_throughput_campaign")
-        .rates(RATES_PCT.to_vec())
-        .trials(trials);
-    for (label, solver) in specs() {
-        spec = spec.job(
-            JobSpec::new(label, "sorting")
-                .per_trial()
-                .with_solver(solver),
-        );
-    }
+    let spec = sort_campaign(opts, "engine_throughput_campaign", trials);
     let dir =
         std::env::temp_dir().join(format!("robustify-throughput-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -31,7 +31,7 @@
 use robustify_bench::workloads::{
     paper_iir_problem, paper_least_squares, paper_registry, paper_robust_solver,
 };
-use robustify_bench::{CampaignExecution, ExperimentOptions, Table};
+use robustify_bench::{ExperimentOptions, Table};
 use robustify_engine::campaign::JobSpec;
 use stochastic_fpu::{BitFaultModel, BitWidth, FaultModelSpec, FlopOp};
 
@@ -110,21 +110,8 @@ fn main() {
         }
     }
 
-    let result = match opts.execute_campaign(&campaign, &paper_registry()) {
-        Ok(CampaignExecution::Local(run)) => run.result,
-        Ok(CampaignExecution::Remote(outcome)) => {
-            // Thin-client mode: the daemon's documents are byte-identical
-            // to a local run's, so print them as the campaign artifact.
-            println!("\n-- engine csv --\n{}", outcome.csv);
-            if opts.json {
-                println!("\n-- json --\n{}", outcome.json);
-            }
-            return;
-        }
-        Err(e) => {
-            eprintln!("fault_model_campaign: {e}");
-            std::process::exit(1);
-        }
+    let Some(result) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
     };
 
     // Comparison table: one row per (app × scenario), success rate per

@@ -23,7 +23,7 @@
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::{paper_iir_problem, paper_registry};
-use robustify_bench::{metric_table, CampaignExecution, ExperimentOptions};
+use robustify_bench::{metric_table, ExperimentOptions};
 use robustify_core::{AggressiveStepping, GradientGuard, SolverSpec, StepSchedule};
 use robustify_engine::campaign::JobSpec;
 use robustify_engine::paper_fault_rates;
@@ -65,21 +65,8 @@ fn main() {
                 .with_aggressive_stepping(AggressiveStepping::default()),
         ));
 
-    let result = match opts.execute_campaign(&campaign, &paper_registry()) {
-        Ok(CampaignExecution::Local(run)) => run.result,
-        Ok(CampaignExecution::Remote(outcome)) => {
-            // Thin-client mode: the daemon's documents are byte-identical
-            // to a local run's, so print them as the figure artifact.
-            println!("\n-- csv --\n{}", outcome.csv);
-            if opts.json {
-                println!("\n-- json --\n{}", outcome.json);
-            }
-            return;
-        }
-        Err(e) => {
-            eprintln!("fig6_3_iir: {e}");
-            std::process::exit(1);
-        }
+    let Some(result) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
     };
 
     let table = metric_table(

@@ -5,6 +5,13 @@
 //! SGD with `1/t` steps ("SGD,LS"), and SGD+AS under `1/t` and `1/√t`
 //! schedules.
 //!
+//! The figure is expressed as a declarative campaign (4 solver-variant
+//! jobs on the `matching` workload, a fresh random graph per trial), so
+//! this binary is also a *thin client*: with `--server ADDR` it submits
+//! the campaign to a running `campaign_server` and prints the daemon's
+//! byte-identical documents; with `--cache-dir PATH` a local run
+//! checkpoints per cell and resumes after a kill.
+//!
 //! Expected shape (paper): matching "showed little performance degradation
 //! with increasing fault rates. However, the maximum success rate obtained,
 //! even using aggressive stepping and step scaling, was limited" — the
@@ -16,21 +23,13 @@
 //! graphs (not fault streams) differ from those runs.
 
 #![forbid(unsafe_code)]
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use robustify_apps::matching::MatchingProblem;
+use robustify_bench::workloads::paper_registry;
 use robustify_bench::{success_table, ExperimentOptions};
 use robustify_core::{AggressiveStepping, SolverSpec, StepSchedule};
-use robustify_engine::{paper_fault_rates, SweepCase};
-use robustify_graph::generators::random_bipartite;
+use robustify_engine::campaign::JobSpec;
+use robustify_engine::paper_fault_rates;
 
 const ITERATIONS: usize = 10_000;
-
-fn matching_case(label: &str, spec: SolverSpec) -> SweepCase {
-    SweepCase::problem(label, spec, |seed| {
-        MatchingProblem::new(random_bipartite(&mut StdRng::seed_from_u64(seed), 5, 6, 30))
-    })
-}
 
 fn main() {
     let opts = ExperimentOptions::parse();
@@ -38,23 +37,30 @@ fn main() {
 
     let ls = StepSchedule::Linear { gamma0: 0.05 };
     let sqs = StepSchedule::Sqrt { gamma0: 0.05 };
-    let cases = vec![
-        matching_case("Base", SolverSpec::baseline()),
-        matching_case("SGD,LS", SolverSpec::sgd(ITERATIONS, ls)),
-        matching_case(
+    let job = |label: &str, spec: SolverSpec| {
+        JobSpec::new(label, "matching")
+            .per_trial()
+            .with_solver(spec)
+    };
+    let campaign = opts
+        .campaign("fig6_4_matching")
+        .rates(paper_fault_rates())
+        .trials(trials)
+        .job(job("Base", SolverSpec::baseline()))
+        .job(job("SGD,LS", SolverSpec::sgd(ITERATIONS, ls)))
+        .job(job(
             "SGD+AS,LS",
             SolverSpec::sgd(ITERATIONS, ls).with_aggressive_stepping(AggressiveStepping::default()),
-        ),
-        matching_case(
+        ))
+        .job(job(
             "SGD+AS,SQS",
             SolverSpec::sgd(ITERATIONS, sqs)
                 .with_aggressive_stepping(AggressiveStepping::default()),
-        ),
-    ];
+        ));
 
-    let result = opts
-        .sweep("fig6_4_matching", paper_fault_rates(), trials)
-        .run(&cases);
+    let Some(result) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
+    };
     let table = success_table(
         &format!(
             "Figure 6.4 — Accuracy of Matching, {ITERATIONS} iterations ({trials} trials/point)"

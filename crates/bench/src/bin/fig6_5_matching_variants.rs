@@ -6,6 +6,10 @@
 //! ("PRECOND"), penalty annealing ("ANNEAL"), and everything combined with
 //! momentum and aggressive stepping ("ALL").
 //!
+//! The figure is expressed as a declarative campaign (6 solver-variant
+//! jobs on the `matching` workload, a fresh random graph per trial), so
+//! this binary also accepts `--server ADDR` and `--cache-dir PATH`.
+//!
 //! Expected shape (paper): basic GD loses to the non-robust baseline below
 //! ~5%; preconditioning matches the baseline up to ~2% and wins above it;
 //! annealing "achieves a 88% success rate even with roughly half of the
@@ -21,21 +25,13 @@
 //! that used a bespoke `seed ^ (trial * 6007)` stream.
 
 #![forbid(unsafe_code)]
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use robustify_apps::matching::MatchingProblem;
+use robustify_bench::workloads::paper_registry;
 use robustify_bench::{success_table, ExperimentOptions};
 use robustify_core::{AggressiveStepping, Annealing, SolverSpec, StepSchedule};
-use robustify_engine::{extended_fault_rates, SweepCase};
-use robustify_graph::generators::random_bipartite;
+use robustify_engine::campaign::JobSpec;
+use robustify_engine::extended_fault_rates;
 
 const ITERATIONS: usize = 10_000;
-
-fn matching_case(label: &str, spec: SolverSpec) -> SweepCase {
-    SweepCase::problem(label, spec, |seed| {
-        MatchingProblem::new(random_bipartite(&mut StdRng::seed_from_u64(seed), 5, 6, 30))
-    })
-}
 
 fn main() {
     let opts = ExperimentOptions::parse();
@@ -43,27 +39,37 @@ fn main() {
 
     let ls = StepSchedule::Linear { gamma0: 0.05 };
     let sqs = StepSchedule::Sqrt { gamma0: 0.05 };
-    let cases = vec![
-        matching_case("Non-robust", SolverSpec::baseline()),
-        matching_case("Basic,LS", SolverSpec::sgd(ITERATIONS, ls)),
-        matching_case("SQS", SolverSpec::sgd(ITERATIONS, sqs)),
-        matching_case("PRECOND", SolverSpec::preconditioned_sgd(ITERATIONS, sqs)),
-        matching_case(
+    let job = |label: &str, spec: SolverSpec| {
+        JobSpec::new(label, "matching")
+            .per_trial()
+            .with_solver(spec)
+    };
+    let campaign = opts
+        .campaign("fig6_5_matching_variants")
+        .rates(extended_fault_rates())
+        .trials(trials)
+        .job(job("Non-robust", SolverSpec::baseline()))
+        .job(job("Basic,LS", SolverSpec::sgd(ITERATIONS, ls)))
+        .job(job("SQS", SolverSpec::sgd(ITERATIONS, sqs)))
+        .job(job(
+            "PRECOND",
+            SolverSpec::preconditioned_sgd(ITERATIONS, sqs),
+        ))
+        .job(job(
             "ANNEAL",
             SolverSpec::sgd(ITERATIONS, sqs).with_annealing(Annealing::default()),
-        ),
-        matching_case(
+        ))
+        .job(job(
             "ALL",
             SolverSpec::sgd(ITERATIONS, sqs)
                 .with_annealing(Annealing::default())
                 .with_momentum(0.5)
                 .with_aggressive_stepping(AggressiveStepping::default()),
-        ),
-    ];
+        ));
 
-    let result = opts
-        .sweep("fig6_5_matching_variants", extended_fault_rates(), trials)
-        .run(&cases);
+    let Some(result) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
+    };
     let table = success_table(
         &format!(
             "Figure 6.5 — Matching enhancements, {ITERATIONS} iterations ({trials} trials/point)"

@@ -16,7 +16,7 @@
 
 #![forbid(unsafe_code)]
 use robustify_bench::workloads::{paper_least_squares, paper_registry};
-use robustify_bench::{fmt_metric, CampaignExecution, ExperimentOptions, Table};
+use robustify_bench::{fmt_metric, ExperimentOptions, Table};
 use robustify_core::SolverSpec;
 use robustify_engine::campaign::JobSpec;
 use robustify_engine::paper_fault_rates;
@@ -45,21 +45,8 @@ fn run_table(title: &str, name: &str, workload: &str, opts: &ExperimentOptions, 
         ))
         .job(job("CG,N=10", SolverSpec::cg(CG_ITERATIONS)));
 
-    let result = match opts.execute_campaign(&campaign, &paper_registry()) {
-        Ok(CampaignExecution::Local(run)) => run.result,
-        Ok(CampaignExecution::Remote(outcome)) => {
-            // Thin-client mode: the daemon's documents are byte-identical
-            // to a local run's, so print them as the figure artifact.
-            println!("\n-- csv --\n{}", outcome.csv);
-            if opts.json {
-                println!("\n-- json --\n{}", outcome.json);
-            }
-            return;
-        }
-        Err(e) => {
-            eprintln!("fig6_6_cg_accuracy: {e}");
-            std::process::exit(1);
-        }
+    let Some(result) = opts.execute_campaign(&campaign, &paper_registry()) else {
+        return;
     };
 
     let mut table = Table::new(

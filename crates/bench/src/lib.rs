@@ -2,11 +2,12 @@
 //! ([`cli`]), table and CSV printers, and renderers from engine sweep
 //! results to tables.
 //!
-//! Each binary in `src/bin/` regenerates one figure of the paper as a thin
-//! declarative sweep over [`robustify_engine`]: it describes a
-//! `(problem × fault rate × solver)` grid and lets the engine execute it in
-//! parallel with deterministic seeding. Campaign-shaped binaries can also
-//! run as *thin clients* of the `campaign_server` daemon (`--server`) or
+//! Each engine binary in `src/bin/` regenerates one figure of the paper
+//! as a declarative campaign over [`robustify_engine`]: it describes a
+//! `(problem × fault rate × solver)` grid of jobs on
+//! [`workloads::paper_registry`] and lets the engine execute it in
+//! parallel with deterministic seeding. Every such binary can also run as
+//! a *thin client* of the `campaign_server` daemon (`--server`) or
 //! checkpoint into its content-addressed result cache (`--cache-dir`);
 //! see [`cli::ExperimentOptions::execute_campaign`].
 
@@ -16,7 +17,7 @@
 pub mod cli;
 pub mod workloads;
 
-pub use cli::{CampaignExecution, ExperimentOptions};
+pub use cli::ExperimentOptions;
 
 use robustify_engine::SweepResult;
 

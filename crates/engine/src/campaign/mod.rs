@@ -2,12 +2,12 @@
 //! content-addressed result cache, a resumable parallel runner, and the
 //! line-delimited JSON protocol of the `campaign_server` daemon.
 //!
-//! A [`SweepSpec`](crate::SweepSpec) run is bound to closures, so it lives
-//! and dies inside one process. A campaign is the same grid written down:
-//! every job *names* its workload in a
+//! A campaign is a grid written down: every job *names* its workload in a
 //! [`WorkloadRegistry`](robustify_core::WorkloadRegistry) and carries
 //! declarative solver and fault-model specs, so the whole experiment can
 //! be serialized, shipped to a daemon, hashed, checkpointed, and resumed.
+//! A test or example that needs a bespoke instance registers a small
+//! local registry whose factory ignores its seed.
 //!
 //! The pieces:
 //!
@@ -25,7 +25,7 @@
 //!   sparse cell load-balances across workers instead of serializing),
 //!   each cell checkpoints as its last trial lands, and the assembled
 //!   [`SweepResult`](crate::SweepResult) is emitted by the same
-//!   CSV/JSON code paths as an in-process sweep. The `_on` variants
+//!   CSV/JSON code paths on every execution path. The `_on` variants
 //!   ([`run_on`] / [`run_with_budget_on`]) execute on an already-running
 //!   pool — the daemon's process-wide scheduler.
 //! * [`protocol`] — newline-delimited JSON requests/events over

@@ -50,8 +50,8 @@ pub struct CellUpdate {
 /// A finished campaign.
 #[derive(Debug)]
 pub struct CampaignRun {
-    /// The assembled result — emitted by the exact same CSV/JSON paths as
-    /// an in-process sweep.
+    /// The assembled result — emitted by the same CSV/JSON paths whether
+    /// its cells ran here, replayed from the cache, or ran on a daemon.
     pub result: SweepResult,
     /// Total cells in the grid.
     pub cells_total: usize,
@@ -185,10 +185,9 @@ struct ExecCell {
 type CellDone = (usize, Vec<TrialRecord>, Option<String>);
 
 /// A campaign's cache-missed cells as a flattened scheduler item space:
-/// item `i` is one trial, seeded exactly like
-/// [`SweepSpec::run`](crate::SweepSpec::run) seeds it — so a campaign
-/// cell and the equivalent in-process sweep cell produce bit-identical
-/// records no matter which worker runs which trial.
+/// item `i` is one trial, whose FPU and workload seeds depend only on its
+/// trial index ([`derive_trial_seed`], [`problem_seed`]) — so a cell's
+/// records are bit-identical no matter which worker runs which trial.
 ///
 /// The set *owns* everything per-job (resolved jobs, cells, record slots,
 /// the report channel) and borrows only the registry and cache at `'env`:
@@ -511,15 +510,15 @@ fn run_internal<'env>(
     }
 
     // Assembly: fold records into per-cell aggregates in grid order and
-    // hand them to the standard result type, so emission is shared with
-    // the in-process sweep path.
+    // hand them to the standard result type, so emission is shared by
+    // every execution path.
     let n_rates = rates.len();
     let case_parts: Vec<CaseParts> = jobs
         .iter()
         .enumerate()
         .map(|(job_index, job)| CaseParts {
             label: job.label.clone(),
-            spec_json: Some(job.solver.to_json()),
+            spec_json: job.solver.to_json(),
             fault_model: job.fault_model.clone(),
             cells: (0..n_rates)
                 .map(|rate_index| {
@@ -554,7 +553,7 @@ mod tests {
     use crate::campaign::JobSpec;
     use robustify_core::{DynProblem, Verdict};
     use std::path::PathBuf;
-    use stochastic_fpu::Fpu;
+    use stochastic_fpu::{BitFaultModel, BitWidth, Fpu, VoltageErrorModel};
 
     /// A seed-deterministic FPU workload: accumulate through the noisy
     /// FPU and judge the drift. The seed biases the target so instances
@@ -686,12 +685,17 @@ mod tests {
     }
 
     /// The shared-pool path (`run_on`) produces byte-identical documents
-    /// to the private-pool path, even under a forced-steal placement.
+    /// to the private-pool path, even under a forced-steal placement, and
+    /// both match the serial inline path.
     #[test]
     fn shared_pool_run_matches_private_pool_run() {
         let reg = registry();
         let spec = campaign();
         let local = run(&spec, &reg, None, |_| {}).expect("private-pool run");
+        let serial = run(&spec.clone().threads(1), &reg, None, |_| {}).expect("serial run");
+        assert_eq!(serial.result.to_csv(), local.result.to_csv());
+        assert_eq!(serial.result.to_json(), local.result.to_json());
+        assert_eq!(serial.result.total_trials(), (12 + 7) * 3);
         let pool = crate::Scheduler::new(3).with_placement(crate::Placement::Pinned(1));
         let pooled = std::thread::scope(|scope| {
             pool.start(scope);
@@ -733,5 +737,151 @@ mod tests {
             .job(JobSpec::new("a", "nope"));
         let err = run(&spec, &reg, None, |_| {}).unwrap_err();
         assert!(err.contains("unknown workload"), "got: {err}");
+    }
+
+    /// A zero-trial job override is a validation error, not a runner
+    /// panic.
+    #[test]
+    fn zero_trial_job_overrides_fail_validation() {
+        let spec = CampaignSpec::new("x")
+            .rates(vec![1.0])
+            .trials(5)
+            .job(JobSpec::new("a", "drift").with_trials(0));
+        let err = run(&spec, &registry(), None, |_| {}).unwrap_err();
+        assert!(err.contains("positive"), "got: {err}");
+    }
+
+    /// Runs a one-job drift campaign serially and returns its result.
+    fn run_drift(spec: CampaignSpec) -> SweepResult {
+        run(
+            &spec.trials(3).seed(1).threads(1),
+            &registry(),
+            None,
+            |_| {},
+        )
+        .expect("drift campaign")
+        .result
+    }
+
+    #[test]
+    fn emitters_have_expected_shape() {
+        let result = run_drift(
+            CampaignSpec::new("shape")
+                .rates(vec![2.0])
+                .job(JobSpec::new("only", "drift")),
+        );
+        let csv = result.to_csv();
+        assert!(csv.starts_with("case,fault_model,fault_rate_pct"));
+        assert!(csv.contains("only,transient_emulated,2,"));
+        assert_eq!(csv.lines().count(), 2);
+        let json = result.to_json();
+        assert!(json.contains("\"name\":\"shape\""));
+        assert!(json.contains("\"rate_pct\":2"));
+        let solver = format!("\"spec\":{}", SolverSpec::baseline().to_json());
+        assert!(json.contains(&solver), "every case carries its solver");
+        assert!(json.contains("\"fault_model\":{\"kind\":\"transient\""));
+        assert_eq!(result.case_cell("only", 0).trials(), 3);
+    }
+
+    #[test]
+    fn rate_campaigns_emit_empty_voltage_fields() {
+        let result = run_drift(
+            CampaignSpec::new("t")
+                .rates(vec![1.0])
+                .job(JobSpec::new("a", "drift")),
+        );
+        assert_eq!(result.voltages(), None);
+        assert_eq!(result.voltage(0, 0), None);
+        assert_eq!(result.energy_per_trial(0, 0), None);
+        assert!(result.to_json().contains("\"voltages\":null"));
+        assert!(result.to_json().contains("\"energy_per_trial\":null"));
+        let csv = result.to_csv();
+        let row = csv.lines().nth(1).expect("data row");
+        assert!(row.ends_with(",,"), "empty voltage/energy fields: {row}");
+    }
+
+    #[test]
+    fn voltage_axis_campaigns_carry_energy_provenance() {
+        let model = VoltageErrorModel::paper_figure_5_2();
+        let result = run_drift(
+            CampaignSpec::new("volt")
+                .voltages(vec![1.0, 0.7], model.clone())
+                .job(JobSpec::new("a", "drift")),
+        );
+        assert_eq!(result.voltages(), Some(&[1.0, 0.7][..]));
+        assert_eq!(result.voltage(0, 1), Some(0.7));
+        let flops = result.cell(0, 1).flops_per_trial();
+        assert_eq!(
+            result.energy_per_trial(0, 1),
+            Some(model.energy(flops, 0.7))
+        );
+        // The derived rate grid follows Figure 5.2: lower voltage, more
+        // faults per FLOP.
+        assert!(result.rates_pct()[1] > result.rates_pct()[0]);
+        let csv = result.to_csv();
+        assert!(csv.starts_with(
+            "case,fault_model,fault_rate_pct,trials,successes,success_rate,\
+             median,mean,max,failures,flops,faults,voltage,energy_per_trial"
+        ));
+        let last = csv.trim_end().lines().last().expect("data row");
+        assert_eq!(last.split(',').count(), 14);
+        assert!(result.to_json().contains("\"voltages\":[1,0.7]"));
+        assert!(result.to_json().contains("\"voltage\":0.7"));
+    }
+
+    #[test]
+    fn voltage_linked_job_overrides_supply_cell_voltage() {
+        let model = VoltageErrorModel::paper_figure_5_2();
+        let result = run_drift(
+            CampaignSpec::new("t")
+                .rates(vec![50.0])
+                .job(
+                    JobSpec::new("pinned", "drift")
+                        .with_fault_model(FaultModelSpec::voltage_linked(model.clone(), 0.8)),
+                )
+                .job(JobSpec::new("grid", "drift")),
+        );
+        // The pinned job reports its own operating point and energy even
+        // though the campaign itself has no voltage axis…
+        assert_eq!(result.voltage(0, 0), Some(0.8));
+        let flops = result.cell(0, 0).flops_per_trial();
+        assert_eq!(
+            result.energy_per_trial(0, 0),
+            Some(model.energy(flops, 0.8))
+        );
+        // …while its grid-rated neighbour reports none.
+        assert_eq!(result.voltage(1, 0), None);
+        assert_eq!(result.energy_per_trial(1, 0), None);
+    }
+
+    #[test]
+    fn per_job_fault_models_reach_the_emitters() {
+        let result = run_drift(
+            CampaignSpec::new("models")
+                .rates(vec![10.0])
+                .job(JobSpec::new("default", "drift"))
+                .job(
+                    JobSpec::new("stuck", "drift").with_fault_model(FaultModelSpec::stuck_at(
+                        52,
+                        true,
+                        BitWidth::F64,
+                    )),
+                )
+                .job(
+                    JobSpec::new("lsb", "drift")
+                        .with_fault_model(BitFaultModel::lsb_only(BitWidth::F64))
+                        .with_trials(15),
+                ),
+        );
+        assert_eq!(result.fault_model(0).name(), "transient_emulated");
+        assert_eq!(result.fault_model(1).name(), "stuck1_bit52");
+        // An LSB-only injector perturbs the drift far less than the
+        // emulated distribution, and the job's trial override holds.
+        let lsb = result.cell(2, 0);
+        assert!(lsb.summary().median() <= result.cell(0, 0).summary().median());
+        assert_eq!(lsb.trials(), 15);
+        let csv = result.to_csv();
+        assert!(csv.contains("stuck,stuck1_bit52,10,"));
+        assert!(result.to_json().contains("\"kind\":\"stuck_at\""));
     }
 }

@@ -40,9 +40,8 @@ impl Instantiate {
 /// One campaign column: a named workload with optional solver,
 /// fault-model, and trial-count overrides.
 ///
-/// Where a [`SweepCase`](crate::SweepCase) holds a closure, a `JobSpec`
-/// holds only names and declarative specs — everything a daemon needs to
-/// re-materialize the identical column from its registry.
+/// A `JobSpec` holds only names and declarative specs — everything a
+/// daemon needs to re-materialize the identical column from its registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     label: String,
@@ -86,7 +85,8 @@ impl JobSpec {
         self
     }
 
-    /// Overrides the campaign's trials-per-cell for this job.
+    /// Overrides the campaign's trials-per-cell for this job. The count
+    /// must be positive: [`CampaignSpec::validate`] rejects a zero.
     pub fn with_trials(mut self, trials: usize) -> Self {
         self.trials = Some(trials);
         self
@@ -188,10 +188,9 @@ impl JobSpec {
     }
 }
 
-/// A serializable sweep: the grid axes of a
-/// [`SweepSpec`](crate::SweepSpec) plus the [`JobSpec`] columns, built
-/// with the same named-setter style as
-/// [`SweepSpecBuilder`](crate::SweepSpecBuilder).
+/// A serializable sweep: the grid axes (fault rates or supply voltages,
+/// trials per cell, base seed, default fault model, worker threads) plus
+/// the [`JobSpec`] columns, each set by a named method.
 ///
 /// # Examples
 ///
@@ -245,9 +244,10 @@ impl CampaignSpec {
     }
 
     /// Makes *supply voltage* the grid axis: each column's rate is the one
-    /// `energy_model` predicts at that operating point, and cells gain
-    /// energy provenance — exactly
-    /// [`SweepSpecBuilder::voltages`](crate::SweepSpecBuilder::voltages).
+    /// `energy_model` (the Figure 5.2 calibration) predicts at that
+    /// operating point, and every cell gains energy accounting
+    /// (`energy = P(V) × FLOPs`, the paper's Figure 6.7 y-axis) in the
+    /// emitted CSV/JSON provenance.
     pub fn voltages(mut self, voltages: Vec<f64>, energy_model: VoltageErrorModel) -> Self {
         self.rates_pct = voltages
             .iter()
@@ -336,8 +336,8 @@ impl CampaignSpec {
     }
 
     /// Structural validation: a runnable campaign has a non-empty grid of
-    /// rates in [0, 100] % of FLOPs, positive trials, at least one job,
-    /// and distinct job labels.
+    /// rates in [0, 100] % of FLOPs, positive trials (campaign default and
+    /// every job override), at least one job, and distinct job labels.
     /// (Workload names are checked against the registry at resolution
     /// time, since only the daemon knows its registry.)
     pub fn validate(&self) -> Result<(), String> {
@@ -372,6 +372,9 @@ impl CampaignSpec {
         for (i, job) in self.jobs.iter().enumerate() {
             if self.jobs[..i].iter().any(|j| j.label == job.label) {
                 return Err(format!("duplicate job label \"{}\"", job.label));
+            }
+            if job.trials == Some(0) {
+                return Err(format!("job \"{}\" trials must be positive", job.label));
             }
         }
         Ok(())
@@ -549,6 +552,11 @@ mod tests {
             .job(JobSpec::new("a", "w"))
             .job(JobSpec::new("a", "w2"));
         assert!(dup.validate().unwrap_err().contains("duplicate"));
+        let zero_job_trials = CampaignSpec::new("x")
+            .rates(vec![1.0])
+            .trials(5)
+            .job(JobSpec::new("a", "w").with_trials(0));
+        assert!(zero_job_trials.validate().unwrap_err().contains("positive"));
         for bad in [-1.0, 100.5, 150.0, f64::NAN, f64::INFINITY] {
             let rate = CampaignSpec::new("x")
                 .rates(vec![1.0, bad])

@@ -1,5 +1,5 @@
-//! The experiment engine: a multi-threaded, bit-deterministic sweep
-//! executor over `(problem × fault model × fault rate × solver)` grids.
+//! The experiment engine: a multi-threaded, bit-deterministic executor
+//! over `(problem × fault model × fault rate × solver)` grids.
 //!
 //! Every figure of the paper is the same experiment shape: for each fault
 //! rate, run `N` independently seeded trials of some `(problem, solver)`
@@ -7,32 +7,29 @@
 //! executes that shape once, in parallel, instead of each binary
 //! hand-rolling serial loops:
 //!
-//! * [`SweepSpec`] — the grid: fault rates, trials per cell, base seed,
-//!   default fault model
-//!   ([`FaultModelSpec`](stochastic_fpu::FaultModelSpec)), worker threads.
-//!   Built axis by axis through [`SweepSpec::builder`];
-//!   [`SweepSpecBuilder::voltages`] makes *supply voltage* the grid axis
-//!   instead: each column's rate is derived through a
-//!   [`VoltageErrorModel`](stochastic_fpu::VoltageErrorModel) (Figure
-//!   5.2) and every cell gains energy accounting
+//! * [`campaign`] — the grid as *data*: a
+//!   [`CampaignSpec`](campaign::CampaignSpec) holds the axes (fault rates
+//!   or supply voltages, trials per cell, base seed, default
+//!   [`FaultModelSpec`](stochastic_fpu::FaultModelSpec), worker threads)
+//!   and [`JobSpec`](campaign::JobSpec) columns that name workloads in a
+//!   [`WorkloadRegistry`](robustify_core::WorkloadRegistry), each with
+//!   optional solver, fault-model and trial-count overrides — so the
+//!   injector scenario itself is a sweepable axis.
+//!   [`CampaignSpec::voltages`](campaign::CampaignSpec::voltages) makes
+//!   *supply voltage* the grid axis: each column's rate is derived
+//!   through a [`VoltageErrorModel`](stochastic_fpu::VoltageErrorModel)
+//!   (Figure 5.2) and every cell gains energy accounting
 //!   (`energy = P(V) × FLOPs`, Figure 6.7) in the emitted provenance.
-//! * [`SweepCase`] — one column: a labelled
-//!   [`RobustProblem`](robustify_core::RobustProblem) ×
-//!   [`SolverSpec`](robustify_core::SolverSpec) pairing (or a raw
-//!   closure), optionally overriding the sweep's fault model — making the
-//!   injector scenario itself a sweepable axis.
+//!   Around the grid sit a content-addressed on-disk result cache, a
+//!   resumable parallel runner, and the line-delimited JSON protocol of
+//!   the `campaign_server` daemon.
 //! * [`SweepResult`] / [`CellStats`] / [`MetricSummary`] — streaming
 //!   aggregates (success rate, error quantiles, FLOP/fault totals) with
 //!   CSV and JSON emitters.
-//! * [`campaign`] — the sweep grid as *data*: declarative
-//!   [`CampaignSpec`](campaign::CampaignSpec) jobs naming registry
-//!   workloads, a content-addressed on-disk result cache, a resumable
-//!   parallel runner, and the line-delimited JSON protocol of the
-//!   `campaign_server` daemon.
-//! * [`scheduler`] — the shared work-stealing pool underneath all of the
-//!   above: a flattened `(cell × trial-chunk)` item space on per-worker
-//!   FIFO deques with front-stealing, so heterogeneous cells load-balance
-//!   and the daemon multiplexes concurrent submissions fairly onto one
+//! * [`scheduler`] — the shared work-stealing pool underneath the runner:
+//!   a flattened `(cell × trial-chunk)` item space on per-worker FIFO
+//!   deques with front-stealing, so heterogeneous cells load-balance and
+//!   the daemon multiplexes concurrent submissions fairly onto one
 //!   process-wide pool.
 //!
 //! # Determinism
@@ -41,27 +38,41 @@
 //! [`derive_trial_seed`]`(base_seed, i)` — the exact SplitMix derivation
 //! of the original serial harness — and aggregation folds records in
 //! trial-index order. Worker threads only decide *when* a trial runs,
-//! never *what* it computes or how results combine, so a sweep's emitted
-//! output is byte-identical for 1 thread and N threads.
+//! never *what* it computes or how results combine, so a campaign's
+//! emitted output is byte-identical for 1 thread and N threads.
 //!
 //! # Examples
 //!
 //! ```
-//! use robustify_core::Verdict;
-//! use robustify_engine::{SweepCase, SweepSpec, TrialCtx};
-//! use stochastic_fpu::{BitFaultModel, Fpu, NoisyFpu};
+//! use robustify_core::{DynProblem, SolverSpec, Verdict, WorkloadRegistry};
+//! use robustify_engine::campaign::{self, CampaignSpec, JobSpec};
+//! use stochastic_fpu::{Fpu, NoisyFpu};
 //!
-//! let case = SweepCase::new("add", |_ctx: &TrialCtx, fpu: &mut NoisyFpu| {
-//!     Verdict::from_metric((fpu.add(1.0, 1.0) - 2.0).abs(), 1e-9)
-//! });
-//! let result = SweepSpec::builder("demo")
+//! struct Add;
+//!
+//! impl DynProblem for Add {
+//!     fn name(&self) -> &'static str {
+//!         "add"
+//!     }
+//!
+//!     fn run_trial_dyn(&self, _spec: &SolverSpec, fpu: &mut NoisyFpu) -> Verdict {
+//!         Verdict::from_metric((fpu.add(1.0, 1.0) - 2.0).abs(), 1e-9)
+//!     }
+//! }
+//!
+//! let mut registry = WorkloadRegistry::new();
+//! registry.register(
+//!     "add",
+//!     Box::new(|_seed| Box::new(Add)),
+//!     Box::new(|_seed| SolverSpec::baseline()),
+//! );
+//! let spec = CampaignSpec::new("demo")
 //!     .rates(vec![0.0, 50.0])
 //!     .trials(8)
 //!     .seed(42)
-//!     .model(BitFaultModel::emulated())
-//!     .build()
-//!     .run(&[case]);
-//! assert_eq!(result.cell(0, 0).success_rate(), 100.0);
+//!     .job(JobSpec::new("add", "add"));
+//! let run = campaign::run(&spec, &registry, None, |_| {}).unwrap();
+//! assert_eq!(run.result.cell(0, 0).success_rate(), 100.0);
 //! ```
 
 #![deny(missing_docs)]
@@ -75,6 +86,5 @@ mod sweep;
 pub use scheduler::{JobHandle, Placement, Scheduler, WorkSet};
 pub use stats::{CellStats, MetricSummary, TrialRecord};
 pub use sweep::{
-    derive_trial_seed, extended_fault_rates, paper_fault_rates, problem_seed, SweepCase,
-    SweepResult, SweepSpec, SweepSpecBuilder, TrialCtx,
+    derive_trial_seed, extended_fault_rates, paper_fault_rates, problem_seed, SweepResult,
 };

@@ -1,10 +1,11 @@
-//! The engine's determinism guarantee, as a property: a sweep run with 1
-//! worker thread and with N worker threads produces byte-identical
+//! The engine's determinism guarantee, as a property: a campaign run with
+//! 1 worker thread and with N worker threads produces byte-identical
 //! aggregated output for the same base seed and grid.
 
 use proptest::prelude::*;
-use robustify_core::{RobustProblem, SolverSpec, StepSchedule, Verdict};
-use robustify_engine::{SweepCase, SweepSpec};
+use robustify_core::{RobustProblem, SolverSpec, StepSchedule, Verdict, WorkloadRegistry};
+use robustify_engine::campaign::{self, CampaignSpec, JobSpec};
+use robustify_engine::SweepResult;
 use robustify_linalg::Matrix;
 use stochastic_fpu::{
     BitFaultModel, BitWidth, DvfsStep, FaultModelSpec, FlopOp, VoltageErrorModel,
@@ -57,29 +58,49 @@ impl RobustProblem for Recover {
     }
 }
 
-fn cases() -> Vec<SweepCase> {
+/// The one workload every grid here names: a fresh [`Recover`] instance
+/// per trial seed.
+fn registry() -> WorkloadRegistry {
+    let mut registry = WorkloadRegistry::new();
+    registry.register(
+        "recover",
+        Box::new(|seed| Box::new(Recover::from_seed(seed))),
+        Box::new(|_| SolverSpec::baseline()),
+    );
+    registry
+}
+
+/// Runs `spec` at `threads` workers.
+fn run(spec: &CampaignSpec, threads: usize) -> SweepResult {
+    campaign::run(&spec.clone().threads(threads), &registry(), None, |_| {})
+        .expect("valid campaign")
+        .result
+}
+
+/// A per-trial `recover` job under `solver`.
+fn job(label: &str, solver: SolverSpec) -> JobSpec {
+    JobSpec::new(label, "recover")
+        .per_trial()
+        .with_solver(solver)
+}
+
+fn cases() -> Vec<JobSpec> {
     vec![
-        SweepCase::problem(
-            "sgd_fixed",
-            SolverSpec::sgd(120, StepSchedule::Fixed(0.2)),
-            Recover::from_seed,
-        ),
-        SweepCase::problem(
+        job("sgd_fixed", SolverSpec::sgd(120, StepSchedule::Fixed(0.2))),
+        job(
             "sgd_sqrt",
             SolverSpec::sgd(120, StepSchedule::Sqrt { gamma0: 0.5 }),
-            Recover::from_seed,
         )
         .with_trials(7),
     ]
 }
 
-/// One case per fault-model family, so a single grid mixes ≥ 5 distinct
-/// [`FaultModelSpec`] variants (the fault-grid axis of ISSUE 3).
-fn mixed_model_cases() -> Vec<SweepCase> {
+/// One job per fault-model family, so a single grid mixes ≥ 5 distinct
+/// [`FaultModelSpec`] variants (the fault-grid axis).
+fn mixed_model_cases() -> Vec<JobSpec> {
     let spec = SolverSpec::sgd(100, StepSchedule::Sqrt { gamma0: 0.3 });
-    let case = |label: &str, model: FaultModelSpec| {
-        SweepCase::problem(label, spec.clone(), Recover::from_seed).with_model(model)
-    };
+    let case =
+        |label: &str, model: FaultModelSpec| job(label, spec.clone()).with_fault_model(model);
     vec![
         case("transient", FaultModelSpec::default()),
         case("stuck", FaultModelSpec::stuck_at(54, true, BitWidth::F64)),
@@ -99,27 +120,27 @@ fn mixed_model_cases() -> Vec<SweepCase> {
     ]
 }
 
-/// Cases mixing every voltage-era scenario on one voltage-axis grid: the
-/// sweep-rated default, a state-persistent memory fault, a case pinned to
+/// Jobs mixing every voltage-era scenario on one voltage-axis grid: the
+/// grid-rated default, a state-persistent memory fault, a job pinned to
 /// its own fixed voltage, and a DVFS trajectory.
-fn voltage_axis_cases() -> Vec<SweepCase> {
+fn voltage_axis_cases() -> Vec<JobSpec> {
     let spec = SolverSpec::sgd(100, StepSchedule::Sqrt { gamma0: 0.3 });
-    let case = |label: &str| SweepCase::problem(label, spec.clone(), Recover::from_seed);
+    let case = |label: &str| job(label, spec.clone());
     let model = VoltageErrorModel::paper_figure_5_2();
     vec![
         case("grid_rated"),
-        case("regfile").with_model(FaultModelSpec::register_file(
+        case("regfile").with_fault_model(FaultModelSpec::register_file(
             8,
             BitFaultModel::emulated(),
             200,
         )),
-        case("array").with_model(FaultModelSpec::array_resident(
+        case("array").with_fault_model(FaultModelSpec::array_resident(
             16,
             BitFaultModel::emulated(),
             0,
         )),
-        case("pinned").with_model(FaultModelSpec::voltage_linked(model.clone(), 0.68)),
-        case("dvfs").with_model(FaultModelSpec::dvfs(
+        case("pinned").with_fault_model(FaultModelSpec::voltage_linked(model.clone(), 0.68)),
+        case("dvfs").with_fault_model(FaultModelSpec::dvfs(
             model,
             vec![
                 DvfsStep {
@@ -138,45 +159,45 @@ fn voltage_axis_cases() -> Vec<SweepCase> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The determinism guarantee (ISSUE 2): 1-thread and N-thread runs of
-    /// the same grid emit byte-identical JSON and CSV.
+    /// The determinism guarantee: 1-thread and N-thread runs of the same
+    /// grid emit byte-identical JSON and CSV.
     #[test]
     fn thread_count_never_changes_results(
         base_seed in 0u64..1_000_000,
         trials in 1usize..10,
         threads in 2usize..8,
     ) {
-        let grid = SweepSpec::builder("determinism")
+        let grid = CampaignSpec::new("determinism")
             .rates(vec![0.0, 2.0, 20.0])
             .trials(trials)
             .seed(base_seed)
-            .model(BitFaultModel::emulated())
-            .build();
-        let serial = grid.clone().with_threads(1).run(&cases());
-        let parallel = grid.with_threads(threads).run(&cases());
+            .model(BitFaultModel::emulated());
+        let grid = cases().into_iter().fold(grid, CampaignSpec::job);
+        let serial = run(&grid, 1);
+        let parallel = run(&grid, threads);
         prop_assert_eq!(serial.to_json(), parallel.to_json());
         prop_assert_eq!(serial.to_csv(), parallel.to_csv());
     }
 
-    /// The fault-grid guarantee (ISSUE 3): a sweep whose cases mix six
-    /// distinct fault-model variants is still byte-identical between a
-    /// serial and a parallel run.
+    /// The fault-grid guarantee: a campaign whose jobs mix six distinct
+    /// fault-model variants is still byte-identical between a serial and
+    /// a parallel run.
     #[test]
     fn mixed_fault_models_stay_deterministic(
         base_seed in 0u64..1_000_000,
         threads in 2usize..8,
     ) {
-        let grid = SweepSpec::builder("mixed_models")
+        let grid = CampaignSpec::new("mixed_models")
             .rates(vec![2.0, 20.0])
             .trials(3)
             .seed(base_seed)
-            .model(FaultModelSpec::default())
-            .build();
-        let serial = grid.clone().with_threads(1).run(&mixed_model_cases());
-        let parallel = grid.with_threads(threads).run(&mixed_model_cases());
+            .model(FaultModelSpec::default());
+        let grid = mixed_model_cases().into_iter().fold(grid, CampaignSpec::job);
+        let serial = run(&grid, 1);
+        let parallel = run(&grid, threads);
         prop_assert_eq!(serial.to_json(), parallel.to_json());
         prop_assert_eq!(serial.to_csv(), parallel.to_csv());
-        // Each case's model survives into the emitted provenance.
+        // Each job's model survives into the emitted provenance.
         for (case, name) in [
             "transient_emulated",
             "stuck1_bit54",
@@ -192,8 +213,8 @@ proptest! {
         }
     }
 
-    /// The voltage-axis guarantee (ISSUE 4): a *voltage* grid mixing
-    /// sweep-rated, memory-persistent, fixed-voltage and DVFS cases emits
+    /// The voltage-axis guarantee: a *voltage* grid mixing grid-rated,
+    /// memory-persistent, fixed-voltage and DVFS jobs emits
     /// byte-identical CSV/JSON — including the voltage and energy
     /// provenance columns — between a serial and a parallel run.
     #[test]
@@ -201,24 +222,24 @@ proptest! {
         base_seed in 0u64..1_000_000,
         threads in 2usize..8,
     ) {
-        let grid = SweepSpec::builder("voltage_axis")
+        let grid = CampaignSpec::new("voltage_axis")
             .voltages(vec![1.0, 0.7, 0.62], VoltageErrorModel::paper_figure_5_2())
             .trials(3)
             .seed(base_seed)
-            .model(FaultModelSpec::default())
-            .build();
-        let serial = grid.clone().with_threads(1).run(&voltage_axis_cases());
-        let parallel = grid.with_threads(threads).run(&voltage_axis_cases());
+            .model(FaultModelSpec::default());
+        let grid = voltage_axis_cases().into_iter().fold(grid, CampaignSpec::job);
+        let serial = run(&grid, 1);
+        let parallel = run(&grid, threads);
         prop_assert_eq!(serial.to_json(), parallel.to_json());
         prop_assert_eq!(serial.to_csv(), parallel.to_csv());
         // The provenance actually carries the axis: every cell of the
-        // grid-rated case has a voltage and an energy…
+        // grid-rated job has a voltage and an energy…
         for rate_idx in 0..serial.rates_pct().len() {
             prop_assert!(serial.voltage(0, rate_idx).is_some());
             prop_assert!(serial.energy_per_trial(0, rate_idx).is_some());
         }
-        // …and the pinned case reports its own operating point, while
-        // the DVFS case reports none (no single voltage — but still an
+        // …and the pinned job reports its own operating point, while
+        // the DVFS job reports none (no single voltage — but still an
         // energy, accounted piecewise over its schedule).
         prop_assert_eq!(serial.voltage(3, 0), Some(0.68));
         prop_assert_eq!(serial.voltage(4, 0), None);
@@ -229,14 +250,14 @@ proptest! {
     /// global state).
     #[test]
     fn reruns_are_reproducible(base_seed in 0u64..1_000_000) {
-        let grid = SweepSpec::builder("rerun")
+        let grid = CampaignSpec::new("rerun")
             .rates(vec![5.0])
             .trials(4)
             .seed(base_seed)
-            .model(BitFaultModel::emulated())
-            .build();
-        let a = grid.clone().run(&cases());
-        let b = grid.run(&cases());
+            .model(BitFaultModel::emulated());
+        let grid = cases().into_iter().fold(grid, CampaignSpec::job);
+        let a = run(&grid, 0);
+        let b = run(&grid, 0);
         prop_assert_eq!(a.to_json(), b.to_json());
     }
 }

@@ -11,8 +11,10 @@
 //! ```
 
 use robustify::apps::sorting::SortProblem;
-use robustify::core::{AggressiveStepping, GradientGuard, SolverSpec, StepSchedule};
-use robustify::engine::{SweepCase, SweepSpec};
+use robustify::core::{
+    AggressiveStepping, GradientGuard, SolverSpec, StepSchedule, WorkloadRegistry,
+};
+use robustify::engine::campaign::{self, CampaignSpec, JobSpec};
 use robustify::fpu::BitFaultModel;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -27,17 +29,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             reject: 30.0,
         })
         .with_aggressive_stepping(AggressiveStepping::default());
-    let cases = vec![
-        SweepCase::fixed("quicksort", SolverSpec::baseline(), problem.clone()),
-        SweepCase::fixed("robust_sgd", robust, problem),
-    ];
-    let result = SweepSpec::builder("sorting_under_faults")
+
+    // A one-workload registry pinned to this input: the factory ignores
+    // its seed, so every trial sorts the same array under its own faults.
+    let mut registry = WorkloadRegistry::new();
+    registry.register(
+        "input",
+        Box::new(move |_| Box::new(problem.clone())),
+        Box::new(|_| SolverSpec::baseline()),
+    );
+    let spec = CampaignSpec::new("sorting_under_faults")
         .rates(vec![0.5, 2.0, 5.0, 10.0, 20.0])
         .trials(60)
         .seed(7)
         .model(BitFaultModel::emulated())
-        .build()
-        .run(&cases);
+        .job(JobSpec::new("quicksort", "input"))
+        .job(JobSpec::new("robust_sgd", "input").with_solver(robust));
+    let result = campaign::run(&spec, &registry, None, |_| {})?.result;
 
     println!(
         "{:>12} {:>14} {:>14}",
