@@ -78,19 +78,21 @@ impl Poisson2d {
         let mut triplets = Vec::with_capacity(5 * n);
         for r in 0..grid {
             for c in 0..grid {
+                // Pushed in column order, so the triplets arrive sorted
+                // and `from_triplets` skips its sort.
                 let i = idx(r, c);
-                triplets.push((i, i, 4.0));
                 if r > 0 {
                     triplets.push((i, idx(r - 1, c), -1.0));
-                }
-                if r + 1 < grid {
-                    triplets.push((i, idx(r + 1, c), -1.0));
                 }
                 if c > 0 {
                     triplets.push((i, idx(r, c - 1), -1.0));
                 }
+                triplets.push((i, i, 4.0));
                 if c + 1 < grid {
                     triplets.push((i, idx(r, c + 1), -1.0));
+                }
+                if r + 1 < grid {
+                    triplets.push((i, idx(r + 1, c), -1.0));
                 }
             }
         }

@@ -1,11 +1,15 @@
 //! Overhead of the fault-injection substrate itself: a `NoisyFpu` must be
 //! cheap enough that experiment wall-clock is dominated by the algorithms,
 //! not the emulation.
+//!
+//! `dot1024_fpu_overhead` covers the paper's grid rates (1/5/10 % of
+//! FLOPs) and the 50 % extreme, where the strike lane carries the time;
+//! `sample_bit` times the per-strike bit draw of each preset distribution.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use robustify_linalg::dot;
 use std::hint::black_box;
-use stochastic_fpu::{BitFaultModel, BitWidth, FaultRate, NoisyFpu, ReliableFpu};
+use stochastic_fpu::{BitFaultModel, BitWidth, FaultRate, Lfsr, NoisyFpu, ReliableFpu};
 
 fn bench_fault_injection(c: &mut Criterion) {
     let x: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.37).sin()).collect();
@@ -22,14 +26,13 @@ fn bench_fault_injection(c: &mut Criterion) {
         let mut fpu = NoisyFpu::new(FaultRate::ZERO, BitFaultModel::emulated(), 7);
         b.iter(|| black_box(dot(&mut fpu, &x, &y).expect("equal lengths")))
     });
-    group.bench_function("noisy_rate_1pct_emulated", |b| {
-        let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.01), BitFaultModel::emulated(), 7);
-        b.iter(|| black_box(dot(&mut fpu, &x, &y).expect("equal lengths")))
-    });
-    group.bench_function("noisy_rate_50pct_emulated", |b| {
-        let mut fpu = NoisyFpu::new(FaultRate::per_flop(0.5), BitFaultModel::emulated(), 7);
-        b.iter(|| black_box(dot(&mut fpu, &x, &y).expect("equal lengths")))
-    });
+    for pct in [1, 5, 10, 50] {
+        group.bench_function(format!("noisy_rate_{pct}pct_emulated"), |b| {
+            let rate = FaultRate::percent_of_flops(f64::from(pct));
+            let mut fpu = NoisyFpu::new(rate, BitFaultModel::emulated(), 7);
+            b.iter(|| black_box(dot(&mut fpu, &x, &y).expect("equal lengths")))
+        });
+    }
     group.bench_function("noisy_rate_1pct_f32", |b| {
         let mut fpu = NoisyFpu::new(
             FaultRate::per_flop(0.01),
@@ -41,5 +44,22 @@ fn bench_fault_injection(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fault_injection);
+fn bench_sample_bit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sample_bit");
+    group.sample_size(50);
+    for kind in [
+        "emulated",
+        "exponent_heavy",
+        "uniform",
+        "msb_only",
+        "lsb_only",
+    ] {
+        let model = BitFaultModel::from_kind(kind, BitWidth::F64).expect("preset name");
+        let mut lfsr = Lfsr::new(7);
+        group.bench_function(kind, |b| b.iter(|| black_box(model.sample_bit(&mut lfsr))));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_fault_injection, bench_sample_bit);
 criterion_main!(benches);

@@ -172,9 +172,9 @@ struct ExecCell {
     offset: usize,
     trials: usize,
     key_json: String,
-    /// Fixed-instantiation problem, materialized once on first use and
-    /// shared by every worker that runs one of the cell's trials.
-    fixed: OnceLock<Box<dyn DynProblem>>,
+    /// For a fixed-instantiation job, its index into
+    /// [`CampaignWorkSet::fixed`]; `None` materializes per trial.
+    fixed: Option<usize>,
     /// Trials still missing. The worker that takes this to zero assembles
     /// the cell in trial-index order, checkpoints it, and reports it.
     remaining: Mutex<usize>,
@@ -200,6 +200,10 @@ struct CampaignWorkSet<'env> {
     registry: &'env WorkloadRegistry,
     cache: Option<&'env ResultCache>,
     cells: Vec<ExecCell>,
+    /// One problem per distinct workload among the fixed-instantiation
+    /// jobs, materialized at `base_seed` on first use and shared by every
+    /// cell of every job on that workload.
+    fixed: Vec<OnceLock<Box<dyn DynProblem>>>,
     records: Vec<Mutex<Option<TrialRecord>>>,
     tx: Sender<CellDone>,
 }
@@ -216,16 +220,15 @@ impl WorkSet for CampaignWorkSet<'_> {
             job.fault_model.clone(),
             derive_trial_seed(self.base_seed, trial),
         );
-        let verdict = match job.instantiate {
-            Instantiate::Fixed => cell
-                .fixed
+        let verdict = match cell.fixed {
+            Some(instance) => self.fixed[instance]
                 .get_or_init(|| {
                     self.registry
                         .materialize(&job.workload, self.base_seed)
                         .expect("resolved")
                 })
                 .run_trial_dyn(&job.solver, &mut fpu),
-            Instantiate::PerTrial => self
+            None => self
                 .registry
                 .materialize(&job.workload, problem_seed(self.base_seed, trial))
                 .expect("resolved")
@@ -401,6 +404,24 @@ fn run_internal<'env>(
     let mut store_error: Option<String> = None;
     let mut cells_executed = 0usize;
     if !executing.is_empty() {
+        // Fixed jobs on one workload share its instance: all of them
+        // materialize it at the base seed.
+        let mut fixed_workloads: Vec<&str> = Vec::new();
+        let fixed_of: Vec<Option<usize>> = jobs
+            .iter()
+            .map(|job| match job.instantiate {
+                Instantiate::Fixed => Some(
+                    fixed_workloads
+                        .iter()
+                        .position(|&w| w == job.workload)
+                        .unwrap_or_else(|| {
+                            fixed_workloads.push(&job.workload);
+                            fixed_workloads.len() - 1
+                        }),
+                ),
+                Instantiate::PerTrial => None,
+            })
+            .collect();
         // Flatten the executing cells into one trial-granular item space.
         let mut exec_cells = Vec::with_capacity(executing.len());
         let mut offsets = Vec::with_capacity(executing.len() + 1);
@@ -416,7 +437,7 @@ fn run_internal<'env>(
                 offset: total,
                 trials,
                 key_json: cell.key_json.clone(),
-                fixed: OnceLock::new(),
+                fixed: fixed_of[cell.job_index],
                 remaining: Mutex::new(trials),
             });
             total += trials;
@@ -431,6 +452,7 @@ fn run_internal<'env>(
             registry,
             cache,
             cells: exec_cells,
+            fixed: fixed_workloads.iter().map(|_| OnceLock::new()).collect(),
             records: (0..total).map(|_| Mutex::new(None)).collect(),
             tx,
         });
@@ -707,6 +729,41 @@ mod tests {
         assert_eq!(pooled.result.to_csv(), local.result.to_csv());
         assert_eq!(pooled.result.to_json(), local.result.to_json());
         assert_eq!(pooled.cells_total, 6);
+    }
+
+    /// A fixed workload is materialized once per campaign, however many
+    /// cells and fixed jobs use it; per-trial jobs still materialize one
+    /// instance per trial.
+    #[test]
+    fn fixed_workloads_materialize_once_per_campaign() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 2] {
+            let base_seed = 9;
+            let fixed = Arc::new(AtomicUsize::new(0));
+            let fresh = Arc::new(AtomicUsize::new(0));
+            let mut reg = WorkloadRegistry::new();
+            let (f, p) = (Arc::clone(&fixed), Arc::clone(&fresh));
+            reg.register(
+                "counted",
+                Box::new(move |seed| {
+                    let counter = if seed == base_seed { &f } else { &p };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    Box::new(Drift { target: 48.0 })
+                }),
+                Box::new(|_| SolverSpec::baseline()),
+            );
+            let spec = CampaignSpec::new("count")
+                .rates(vec![0.0, 5.0, 20.0])
+                .trials(4)
+                .seed(base_seed)
+                .threads(threads)
+                .job(JobSpec::new("a", "counted"))
+                .job(JobSpec::new("b", "counted").with_trials(3))
+                .job(JobSpec::new("c", "counted").per_trial().with_trials(5));
+            run(&spec, &reg, None, |_| {}).expect("counted campaign");
+            assert_eq!(fixed.load(Ordering::Relaxed), 1, "threads {threads}");
+            assert_eq!(fresh.load(Ordering::Relaxed), 3 * 5, "threads {threads}");
+        }
     }
 
     #[test]

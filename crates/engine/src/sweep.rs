@@ -375,4 +375,47 @@ mod tests {
         assert_eq!(derive_trial_seed(base, 2), expected);
         assert_eq!(problem_seed(7, 0), 7 ^ 7919);
     }
+
+    /// Strike intervals are uniform on `[1, U]` with `U = round(2/rate −
+    /// 1)`, so the mean interval `(1 + U)/2` is `1/rate` for every grid
+    /// rate but 30 %, whose `U` rounds 5.67 up to 6: an effective rate of
+    /// 2/7 ≈ 28.6 %. `U` is read back from the first interval a fresh
+    /// `NoisyFpu` draws, `1 + next_u64 % U` on its seed's LFSR.
+    #[test]
+    fn grid_rates_pin_their_interval_bound() {
+        use stochastic_fpu::{FaultRate, Fpu, Lfsr, NoisyFpu};
+        let bounds = [
+            (0.0, 0),
+            (0.1, 1999),
+            (0.5, 399),
+            (1.0, 199),
+            (2.0, 99),
+            (5.0, 39),
+            (10.0, 19),
+            (20.0, 9),
+            (30.0, 6),
+            (40.0, 4),
+            (50.0, 3),
+        ];
+        let mut rates = paper_fault_rates();
+        rates.extend(extended_fault_rates());
+        for pct in rates {
+            let &(_, upper) = bounds
+                .iter()
+                .find(|&&(p, _)| p == pct)
+                .expect("every grid rate has a pinned bound");
+            for seed in 1..=64 {
+                let rate = FaultRate::percent_of_flops(pct);
+                let fpu = NoisyFpu::new(rate, FaultModelSpec::default(), seed);
+                // A zero rate never strikes: its window is unbounded.
+                let window = match upper {
+                    0 => u64::MAX,
+                    u => Lfsr::new(seed).next_u64() % u,
+                };
+                assert_eq!(fpu.run_exact(u64::MAX), window, "{pct} %, seed {seed}");
+            }
+            let nominal_mean = pct == 0.0 || (1 + upper) as f64 * pct == 200.0;
+            assert_eq!(nominal_mean, pct != 30.0, "{pct} %");
+        }
+    }
 }

@@ -69,6 +69,16 @@ impl BitWidth {
 /// floating point operations between two faults"; plots label it as a
 /// percentage of FLOPs.
 ///
+/// # Effective rate
+///
+/// [`NoisyFpu`](crate::NoisyFpu) spaces strikes by intervals drawn
+/// uniformly from `[1, U]` with `U = round(2/rate − 1)` (at least 1), so
+/// the mean interval is `(1 + U) / 2`. That equals
+/// [`mean_interval`](Self::mean_interval) only when `2/rate − 1` is an
+/// integer. Every rate of the paper's grids is such a rate except 30 %
+/// (Figure 6.5): `2/0.3 − 1 ≈ 5.67` rounds to 6, so the mean interval is
+/// 3.5 FLOPs and the effective rate 2/7 ≈ 28.6 %.
+///
 /// # Examples
 ///
 /// ```
@@ -128,13 +138,25 @@ impl FaultRate {
     }
 
     /// Average number of FLOPs between consecutive faults
-    /// (`f64::INFINITY` for a zero rate).
+    /// (`f64::INFINITY` for a zero rate). This is the nominal `1/rate`;
+    /// see [Effective rate](Self#effective-rate) for the interval
+    /// [`NoisyFpu`](crate::NoisyFpu) actually draws.
     pub fn mean_interval(self) -> f64 {
         if self.is_zero() {
             f64::INFINITY
         } else {
             1.0 / self.0
         }
+    }
+
+    /// The upper bound `U` of the uniform strike-interval draw on
+    /// `[1, U]`: `round(2·mean_interval − 1)`, at least 1, or 0 for a zero
+    /// rate (which never strikes and draws nothing).
+    pub(crate) fn interval_upper(self) -> u64 {
+        if self.is_zero() {
+            return 0;
+        }
+        (2.0 * self.mean_interval() - 1.0).round().max(1.0) as u64
     }
 }
 
@@ -150,7 +172,7 @@ impl FaultRate {
 /// let uniform = BitFaultModel::uniform(BitWidth::F32);
 /// assert_eq!(uniform.width().bits(), 32);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct BitFaultModel {
     width: BitWidth,
     /// Per-bit probabilities, `weights[i]` = P(flip bit `i`), LSB first.
@@ -160,6 +182,36 @@ pub struct BitFaultModel {
     /// Stable distribution name for emitters (`"custom"` for
     /// [`from_weights`](Self::from_weights) models).
     kind: &'static str,
+    /// The guide table of Chen & Asau's indexed search: `guide[k]` is the
+    /// number of `cumulative` entries `≤ k/GUIDE`, so the first entry
+    /// above a draw `u` lies at or after `guide[⌊u·GUIDE⌋]`. Derived from
+    /// `cumulative`, so it is left out of equality and `Debug`.
+    guide: Box<[u8]>,
+}
+
+/// Entries in [`BitFaultModel`]'s guide table. At most 64 of the 1024
+/// buckets hold a step of the cumulative distribution, so a draw in any
+/// other bucket stops its scan on the first comparison.
+const GUIDE: usize = 1024;
+
+impl PartialEq for BitFaultModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.width == other.width
+            && self.weights == other.weights
+            && self.cumulative == other.cumulative
+            && self.kind == other.kind
+    }
+}
+
+impl std::fmt::Debug for BitFaultModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BitFaultModel")
+            .field("width", &self.width)
+            .field("weights", &self.weights)
+            .field("cumulative", &self.cumulative)
+            .field("kind", &self.kind)
+            .finish()
+    }
 }
 
 impl BitFaultModel {
@@ -198,13 +250,26 @@ impl BitFaultModel {
             acc += w;
             cumulative.push(acc);
         }
-        // Guard against round-off leaving the last entry below 1.0.
+        // Guard against round-off leaving the last entry below 1.0. The
+        // pinned 1.0 also ends every guided scan, since draws are below 1.
         *cumulative.last_mut().expect("non-empty weights") = 1.0;
+        // One merge pass: the bucket edges k/GUIDE are exact and rising.
+        let mut below = 0;
+        let guide = (0..GUIDE)
+            .map(|k| {
+                let edge = k as f64 / GUIDE as f64;
+                while cumulative[below] <= edge {
+                    below += 1;
+                }
+                u8::try_from(below).expect("at most 64 bits")
+            })
+            .collect();
         BitFaultModel {
             width,
             weights,
             cumulative,
             kind: "custom",
+            guide,
         }
     }
 
@@ -341,9 +406,32 @@ impl BitFaultModel {
     }
 
     /// Samples a bit index to flip using the given entropy source.
+    ///
+    /// One [`next_f64`](Lfsr::next_f64) draw, inverted through the
+    /// cumulative distribution in constant expected time.
     pub fn sample_bit(&self, lfsr: &mut Lfsr) -> usize {
-        let u = lfsr.next_f64();
-        // Binary search the cumulative distribution.
+        self.bit_at(lfsr.next_f64())
+    }
+
+    /// The bit a draw `u ∈ [0, 1)` selects: the first cumulative entry
+    /// above `u`, found by a forward scan from `u`'s guide bucket.
+    fn bit_at(&self, u: f64) -> usize {
+        let mut i = usize::from(self.guide[(u * GUIDE as f64) as usize]);
+        while self.cumulative[i] <= u {
+            i += 1;
+        }
+        // On a draw equal to an entry, `binary_search_by` may return any
+        // entry of a zero-weight plateau, so the reference decides those
+        // draws; everywhere else the first entry above `u` is its answer.
+        if i > 0 && self.cumulative[i - 1] == u {
+            return self.search_bit(u);
+        }
+        i
+    }
+
+    /// Binary search of the cumulative distribution: the reference
+    /// inverse, and the decider of exact ties in [`bit_at`](Self::bit_at).
+    fn search_bit(&self, u: f64) -> usize {
         match self
             .cumulative
             .binary_search_by(|c| c.partial_cmp(&u).expect("cumulative weights are finite"))
@@ -523,6 +611,58 @@ mod tests {
         for (i, (&h, &w)) in hist.iter().zip(model.weights()).enumerate() {
             assert!((h - w).abs() < 0.01, "bit {i}: sampled {h}, expected {w}");
         }
+    }
+
+    /// The guided scan selects the same bit as the reference binary search
+    /// for every draw: at each guide edge, at each cumulative entry (where
+    /// exact ties and zero-weight plateaus sit), just around both, and
+    /// on LFSR draws.
+    #[test]
+    fn guided_sampling_matches_binary_search() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut plateaus = vec![0.0; 32];
+        for (i, w) in plateaus.iter_mut().enumerate() {
+            // Leading zeros, isolated zeros and a zero run at the top.
+            if i >= 3 && i % 4 != 1 && i < 27 {
+                *w = 1.0 + (i % 3) as f64;
+            }
+        }
+        let mut models = vec![BitFaultModel::from_weights(BitWidth::F32, &plateaus)];
+        for width in [BitWidth::F32, BitWidth::F64] {
+            for kind in [
+                "emulated",
+                "exponent_heavy",
+                "uniform",
+                "msb_only",
+                "lsb_only",
+            ] {
+                models.push(BitFaultModel::from_kind(kind, width).expect("preset"));
+            }
+        }
+        let mut ties = 0;
+        for model in &models {
+            let mut probes = Vec::new();
+            for k in 0..GUIDE {
+                let edge = k as f64 / GUIDE as f64;
+                probes.extend([edge - ulp, edge, edge + ulp]);
+            }
+            for &c in &model.cumulative {
+                probes.extend((-3..=3).map(|j| c + f64::from(j) * ulp));
+            }
+            let mut lfsr = Lfsr::new(0x5EED);
+            probes.extend((0..100_000).map(|_| lfsr.next_f64()));
+            for u in probes.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                ties += usize::from(model.cumulative.contains(&u));
+                assert_eq!(
+                    model.bit_at(u),
+                    model.search_bit(u),
+                    "{} {:?} at u = {u:e}",
+                    model.kind(),
+                    model.width()
+                );
+            }
+        }
+        assert!(ties > 100, "only {ties} probes hit a cumulative entry");
     }
 
     #[test]

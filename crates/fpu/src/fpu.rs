@@ -930,8 +930,9 @@ impl Fpu for ReliableFpu {
 
 /// The fault-injecting FPU of the paper's FPGA framework.
 ///
-/// At LFSR-scheduled random intervals — uniform with mean equal to the
-/// configured [`FaultRate`]'s mean interval — the injector strikes, and the
+/// At LFSR-scheduled random intervals — uniform, with a mean of the
+/// configured [`FaultRate`]'s mean interval up to rounding (see its
+/// [effective rate](FaultRate#effective-rate)) — the injector strikes, and the
 /// [`FaultModelSpec`] decides what the strike does to the operation. The
 /// paper's scenario (a transient single-bit flip of the committed result,
 /// per a [`BitFaultModel`](crate::BitFaultModel) distribution) is the
@@ -967,6 +968,9 @@ impl Fpu for ReliableFpu {
 #[derive(Debug, Clone)]
 pub struct NoisyFpu {
     rate: FaultRate,
+    /// `rate`'s strike-interval bound, computed once rather than on
+    /// every strike.
+    upper: u64,
     spec: FaultModelSpec,
     lfsr: Lfsr,
     flops: u64,
@@ -1002,15 +1006,16 @@ enum Injector {
     },
 }
 
-/// Draws the number of FLOPs until the next fault: uniform on
-/// `[1, 2/rate - 1]` so the mean interval is `1/rate`, generated by the
-/// LFSR as in the paper's methodology. Zero for a zero rate.
-fn draw_interval(rate: FaultRate, lfsr: &mut Lfsr) -> u64 {
-    if rate.is_zero() {
+/// Draws the number of FLOPs until the next fault, uniform on
+/// `[1, upper]` and generated by the LFSR as in the paper's methodology.
+/// `upper` is [`FaultRate::interval_upper`]: `round(2/rate − 1)`, so the
+/// mean interval is `1/rate` only when `2/rate − 1` is an integer (see
+/// [`FaultRate`]'s effective rate). An `upper` of 0 is a zero rate: it
+/// returns 0 and draws nothing.
+fn draw_interval(upper: u64, lfsr: &mut Lfsr) -> u64 {
+    if upper == 0 {
         return 0;
     }
-    let mean = rate.mean_interval();
-    let upper = (2.0 * mean - 1.0).round().max(1.0) as u64;
     lfsr.uniform_1_to(upper)
 }
 
@@ -1037,11 +1042,11 @@ fn committed_exact(op: FlopOp, a: f64, b: f64) -> f64 {
 /// Steps a constant-rate countdown by one op; `true` when the op strikes
 /// (and the next interval has been drawn). A zero countdown is a zero
 /// rate and never strikes.
-fn countdown_strikes(countdown: &mut u64, rate: FaultRate, lfsr: &mut Lfsr) -> bool {
+fn countdown_strikes(countdown: &mut u64, upper: u64, lfsr: &mut Lfsr) -> bool {
     match *countdown {
         0 => false,
         1 => {
-            *countdown = draw_interval(rate, lfsr);
+            *countdown = draw_interval(upper, lfsr);
             true
         }
         n => {
@@ -1091,10 +1096,11 @@ impl NoisyFpu {
         let spec = model.into();
         spec.assert_nestable();
         let rate = spec.rate_override().unwrap_or(rate);
+        let upper = rate.interval_upper();
         let mut lfsr = Lfsr::new(seed);
         // Drawn for every spec, DVFS included (which then ignores it), so
         // each spec's LFSR stream keeps its established alignment.
-        let countdown = draw_interval(rate, &mut lfsr);
+        let countdown = draw_interval(upper, &mut lfsr);
         let injector = match &spec {
             FaultModelSpec::DvfsSchedule { model, steps } => Injector::Dvfs {
                 segments: dvfs_segments(model, steps),
@@ -1108,6 +1114,7 @@ impl NoisyFpu {
         };
         NoisyFpu {
             rate,
+            upper,
             spec,
             lfsr,
             flops: 0,
@@ -1163,7 +1170,7 @@ impl Fpu for NoisyFpu {
         let (exact, strike) = match &mut self.injector {
             Injector::Countdown(countdown) => (
                 committed_exact(op, a, b),
-                countdown_strikes(countdown, self.rate, &mut self.lfsr),
+                countdown_strikes(countdown, self.upper, &mut self.lfsr),
             ),
             Injector::Dvfs { segments, cursor } => (
                 committed_exact(op, a, b),
@@ -1173,7 +1180,7 @@ impl Fpu for NoisyFpu {
                 state.begin_op(flop);
                 let (a, b) = state.load_operands(flop, a, b);
                 let exact = committed_exact(op, a, b);
-                let strike = countdown_strikes(countdown, self.rate, &mut self.lfsr);
+                let strike = countdown_strikes(countdown, self.upper, &mut self.lfsr);
                 // Commit through storage first (array-resident writes heal
                 // their word), then install any new persistent damage — a
                 // fault lands at FLOP t and is visible from FLOP t+1 on.

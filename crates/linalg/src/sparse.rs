@@ -72,9 +72,10 @@ impl CsrMatrix {
     /// Assembles a `rows × cols` matrix from `(row, col, value)` triplets.
     ///
     /// Triplets may arrive in any order; duplicates targeting the same
-    /// entry are summed (native arithmetic — assembly is construction, not
-    /// solver work), and entries that end up exactly `0.0` are dropped so
-    /// they never reach the FPU.
+    /// entry are summed in input order (native arithmetic — assembly is
+    /// construction, not solver work), and entries that end up exactly
+    /// `0.0` are dropped so they never reach the FPU. Input already in
+    /// `(row, col)` order skips the sort.
     ///
     /// # Errors
     ///
@@ -100,7 +101,11 @@ impl CsrMatrix {
             }
         }
         let mut order: Vec<usize> = (0..triplets.len()).collect();
-        order.sort_by_key(|&k| (triplets[k].0, triplets[k].1));
+        // A stable sort of input already in `(row, col)` order is the
+        // identity, so sorted input (a stencil built row by row) skips it.
+        if !triplets.is_sorted_by_key(|&(i, j, _)| (i, j)) {
+            order.sort_by_key(|&k| (triplets[k].0, triplets[k].1));
+        }
         let mut row_ptr = vec![0usize; rows + 1];
         let mut col_idx = Vec::with_capacity(triplets.len());
         let mut vals = Vec::with_capacity(triplets.len());
@@ -464,6 +469,31 @@ mod tests {
         assert_eq!(a.nnz(), 1);
         assert_eq!(a.row(0), (&[0][..], &[3.0][..]));
         assert_eq!(a.row(1), (&[][..], &[][..]));
+        // Input already in (row, col) order skips the sort; duplicates
+        // still sum in input order, giving the shuffled input's matrix.
+        let shuffled = [
+            (1, 2, 0.1),
+            (0, 1, 2.0),
+            (1, 2, 0.2),
+            (0, 0, 1.0),
+            (1, 2, 0.3),
+            (1, 0, -1.0),
+            (1, 0, 1.0),
+        ];
+        let sorted = [
+            (0, 0, 1.0),
+            (0, 1, 2.0),
+            (1, 0, -1.0),
+            (1, 0, 1.0),
+            (1, 2, 0.1),
+            (1, 2, 0.2),
+            (1, 2, 0.3),
+        ];
+        let a = CsrMatrix::from_triplets(2, 3, &shuffled).expect("valid triplets");
+        let b = CsrMatrix::from_triplets(2, 3, &sorted).expect("valid triplets");
+        assert_eq!(a, b);
+        assert_eq!(b.nnz(), 3);
+        assert_eq!(b.row(1), (&[2][..], &[0.1 + 0.2 + 0.3][..]));
     }
 
     #[test]
