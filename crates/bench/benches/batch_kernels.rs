@@ -4,8 +4,13 @@
 //! at fault rates {0, 1e-6, 1e-3} — with the scalar per-op path (batching
 //! disabled) as the reference. Batched and scalar runs are bit-identical;
 //! only the dispatch cost differs.
+//!
+//! `banded500_band8` times the two products of one IIR SGD step — `B·x`
+//! and `Bᵀr` on the paper's 500-sample, band-8 system — at the fault rates
+//! of the figure grids (0, 1 % and 10 % of FLOPs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use robustify_bench::workloads::paper_iir;
 use robustify_core::CgLeastSquares;
 use robustify_linalg::{axpy, dot, Matrix};
 use std::hint::black_box;
@@ -77,5 +82,31 @@ fn bench_cg_iteration(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dot, bench_axpy, bench_cg_iteration);
+fn bench_banded(c: &mut Criterion) {
+    let (filter, u) = paper_iir(1);
+    let (b, rhs) = filter
+        .to_least_squares(&u)
+        .expect("500 samples exceed the taps");
+    assert_eq!((b.dim(), b.bandwidth()), (500, 8), "paper IIR scale");
+    let mut group = c.benchmark_group("banded500_band8");
+    group.sample_size(50);
+    for (label, rate) in [("rate0", 0.0), ("rate1pct", 0.01), ("rate10pct", 0.1)] {
+        let mut fpu = fpu(rate, true);
+        group.bench_function(format!("{label}_matvec"), |bch| {
+            bch.iter(|| black_box(b.matvec(&mut fpu, &u).expect("length matches")))
+        });
+        group.bench_function(format!("{label}_matvec_t"), |bch| {
+            bch.iter(|| black_box(b.matvec_t(&mut fpu, &rhs).expect("length matches")))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_dot,
+    bench_axpy,
+    bench_cg_iteration,
+    bench_banded
+);
 criterion_main!(benches);

@@ -5,11 +5,17 @@
 //! `dot1024_fpu_overhead` covers the paper's grid rates (1/5/10 % of
 //! FLOPs) and the 50 % extreme, where the strike lane carries the time;
 //! `sample_bit` times the per-strike bit draw of each preset distribution.
+//! `strike_cost` splits what one strike costs: `uniform_1_to` is the
+//! interval draw (one LFSR step plus a modulo), and `execute` on a
+//! rate-1 `NoisyFpu` is a whole strike (interval draw, bit draw and
+//! corruption) outside any batch kernel.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use robustify_linalg::dot;
 use std::hint::black_box;
-use stochastic_fpu::{BitFaultModel, BitWidth, FaultRate, Lfsr, NoisyFpu, ReliableFpu};
+use stochastic_fpu::{
+    BitFaultModel, BitWidth, FaultRate, FlopOp, Fpu, Lfsr, NoisyFpu, ReliableFpu,
+};
 
 fn bench_fault_injection(c: &mut Criterion) {
     let x: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.37).sin()).collect();
@@ -61,5 +67,28 @@ fn bench_sample_bit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fault_injection, bench_sample_bit);
+fn bench_strike_cost(c: &mut Criterion) {
+    let mut group = c.benchmark_group("strike_cost");
+    group.sample_size(50);
+    // The interval bounds `round(2/rate − 1)` of the 1 % and 10 % grids.
+    for (label, upper) in [("1pct", 199), ("10pct", 19)] {
+        let mut lfsr = Lfsr::new(7);
+        group.bench_function(format!("uniform_1_to_{label}"), |b| {
+            b.iter(|| black_box(lfsr.uniform_1_to(black_box(upper))))
+        });
+    }
+    // At rate 1 every operation strikes.
+    let mut fpu = NoisyFpu::new(FaultRate::per_flop(1.0), BitFaultModel::emulated(), 7);
+    group.bench_function("execute_rate1_emulated", |b| {
+        b.iter(|| black_box(fpu.execute(FlopOp::Mul, black_box(1.5), black_box(2.5))))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_fault_injection,
+    bench_sample_bit,
+    bench_strike_cost
+);
 criterion_main!(benches);

@@ -55,6 +55,9 @@ pub enum PenaltyKind {
 pub struct AffineConstraints {
     a: Matrix,
     b: Vec<f64>,
+    /// `row_runs[i]` lists the maximal runs `(start, end)` of non-zero
+    /// entries of row `i`, found once at construction.
+    row_runs: Vec<Vec<(usize, usize)>>,
 }
 
 impl AffineConstraints {
@@ -70,7 +73,10 @@ impl AffineConstraints {
                 format!("length {}", b.len()),
             ));
         }
-        Ok(AffineConstraints { a, b })
+        let row_runs = (0..a.rows())
+            .map(|i| robustify_linalg::nonzero_runs(a.row(i)))
+            .collect();
+        Ok(AffineConstraints { a, b, row_runs })
     }
 
     /// Number of constraint rows.
@@ -108,18 +114,18 @@ impl AffineConstraints {
 
     /// Adds `coef × aᵢ` to `grad` for row `i`, through the FPU.
     ///
-    /// Batched per maximal run of non-zero row entries
-    /// ([`for_nonzero_runs`](robustify_linalg::for_nonzero_runs)), which
-    /// preserves the historical per-entry zero skip — and with it the FLOP
-    /// sequence — exactly.
+    /// Batched per maximal run of non-zero row entries (the runs
+    /// [`nonzero_runs`](robustify_linalg::nonzero_runs) found at
+    /// construction), which preserves the historical per-entry zero skip —
+    /// and with it the FLOP sequence — exactly.
     fn accumulate_row<F: Fpu>(&self, i: usize, coef: f64, fpu: &mut F, grad: &mut [f64]) {
         if coef == 0.0 {
             return;
         }
         let row = self.a.row(i);
-        robustify_linalg::for_nonzero_runs(row, |start, end| {
+        for &(start, end) in &self.row_runs[i] {
             fpu.axpy_batch(coef, &row[start..end], &mut grad[start..end]);
-        });
+        }
     }
 }
 
@@ -498,6 +504,75 @@ mod tests {
             .expect("valid mu")
             .with_equalities(eq);
         assert!(result.is_err());
+    }
+
+    /// Accumulates every row of `c` into one gradient — through
+    /// `accumulate_row`'s stored runs, or by rescanning each row with
+    /// `nonzero_runs` as every call did before the runs were stored —
+    /// and records its bits plus the FPU's FLOP and fault counters.
+    fn accumulate_fingerprint<F: Fpu>(
+        fpu: &mut F,
+        c: &AffineConstraints,
+        stored: bool,
+    ) -> Vec<u64> {
+        let mut grad: Vec<f64> = (0..c.dim()).map(|j| (j as f64 * 0.4).cos()).collect();
+        let coefs = [0.75, -2.0, f64::INFINITY, 0.0, 1.5, f64::NAN];
+        for (i, &coef) in coefs.iter().cycle().take(c.len()).enumerate() {
+            if stored {
+                c.accumulate_row(i, coef, fpu, &mut grad);
+            } else if coef != 0.0 {
+                let row = c.matrix().row(i);
+                for (start, end) in robustify_linalg::nonzero_runs(row) {
+                    fpu.axpy_batch(coef, &row[start..end], &mut grad[start..end]);
+                }
+            }
+        }
+        let mut out: Vec<u64> = grad.iter().map(|v| v.to_bits()).collect();
+        out.push(fpu.flops());
+        out.push(fpu.faults());
+        out
+    }
+
+    /// The runs stored at construction drive the same `axpy_batch` calls as
+    /// the per-call `nonzero_runs` scan they replace: gradients, FLOP
+    /// and fault counters and fault statistics agree bit for bit.
+    #[test]
+    fn stored_row_runs_match_the_per_call_scan() {
+        use stochastic_fpu::{BitFaultModel, FaultRate, NoisyFpu};
+
+        // Rows with several zero gaps (both signed zeros), an all-zero row
+        // and a row without gaps.
+        let a = Matrix::from_fn(6, 41, |i, j| match (i, (j * 5 + i * 3) % 9) {
+            (3, _) => 0.0,
+            (4, _) => 1.0 + j as f64 * 0.25,
+            (_, 0) => 0.0,
+            (_, 4) => -0.0,
+            (_, k) => k as f64 * 0.375 - 1.5,
+        });
+        let c = AffineConstraints::new(a, vec![0.5; 6]).expect("consistent");
+        assert_eq!(
+            accumulate_fingerprint(&mut ReliableFpu::new(), &c, true),
+            accumulate_fingerprint(&mut ReliableFpu::new(), &c, false),
+        );
+        for rate in [0.0, 0.01, 0.1, 0.5] {
+            for seed in [3, 11, 0xFEED] {
+                for batched in [true, false] {
+                    let fresh = || {
+                        let rate = FaultRate::per_flop(rate);
+                        let mut fpu = NoisyFpu::new(rate, BitFaultModel::emulated(), seed);
+                        fpu.set_batching(batched);
+                        fpu
+                    };
+                    let (mut stored, mut scanned) = (fresh(), fresh());
+                    assert_eq!(
+                        accumulate_fingerprint(&mut stored, &c, true),
+                        accumulate_fingerprint(&mut scanned, &c, false),
+                        "rate {rate}, seed {seed}, batched {batched}"
+                    );
+                    assert_eq!(stored.stats(), scanned.stats());
+                }
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn handle_submit<'env>(
         Ok(spec) => spec,
         Err(e) => return send_line(writer, &error_event(&e)),
     };
-    if let Err(e) = spec.validate() {
+    if let Err(e) = runner::validate_against(&spec, registry) {
         return send_line(writer, &error_event(&e));
     }
     send_line(
@@ -501,6 +501,17 @@ mod tests {
         assert_eq!(events.len(), 1, "got {events:?}");
         assert!(events[0].starts_with("{\"event\":\"error\""));
         assert!(events[0].contains("[0, 100]"), "got {events:?}");
+    }
+
+    #[test]
+    fn unknown_workloads_are_rejected_before_accepted() {
+        let reg = registry();
+        let spec = campaign().job(JobSpec::new("ghost", "no_such_workload"));
+        let request = format!("{{\"op\":\"submit\",\"campaign\":{}}}\n", spec.to_json());
+        let (events, _) = serve_lines(&request, &reg);
+        assert_eq!(events.len(), 1, "got {events:?}");
+        assert!(events[0].starts_with("{\"event\":\"error\""));
+        assert!(events[0].contains("no_such_workload"), "got {events:?}");
     }
 
     #[test]

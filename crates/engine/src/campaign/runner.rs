@@ -84,21 +84,36 @@ struct ResolvedJob {
     trials: usize,
 }
 
+/// Everything that makes `spec` unrunnable on `registry`: the structural
+/// checks of [`CampaignSpec::validate`], then every job's workload name.
+/// The daemon calls this before it sends `accepted`.
+pub(crate) fn validate_against(
+    spec: &CampaignSpec,
+    registry: &WorkloadRegistry,
+) -> Result<(), String> {
+    spec.validate()?;
+    match spec
+        .jobs()
+        .iter()
+        .find(|job| !registry.contains(job.workload()))
+    {
+        Some(job) => Err(format!(
+            "unknown workload \"{}\" (registry has: {})",
+            job.workload(),
+            registry.names().join(", "),
+        )),
+        None => Ok(()),
+    }
+}
+
 fn resolve_jobs(
     spec: &CampaignSpec,
     registry: &WorkloadRegistry,
 ) -> Result<Vec<ResolvedJob>, String> {
-    spec.validate()?;
+    validate_against(spec, registry)?;
     spec.jobs()
         .iter()
         .map(|job| {
-            if !registry.contains(job.workload()) {
-                return Err(format!(
-                    "unknown workload \"{}\" (registry has: {})",
-                    job.workload(),
-                    registry.names().join(", "),
-                ));
-            }
             let solver = match job.solver() {
                 Some(s) => s.clone(),
                 // Default solvers are seed-tuned per instance; resolve
@@ -106,7 +121,7 @@ fn resolve_jobs(
                 // fixed-instantiation seed.
                 None => registry
                     .default_solver(job.workload(), spec.base_seed())
-                    .expect("contains() checked"),
+                    .expect("validate_against checked the workload"),
             };
             Ok(ResolvedJob {
                 label: job.label().to_string(),

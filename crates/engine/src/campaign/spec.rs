@@ -338,8 +338,9 @@ impl CampaignSpec {
     /// Structural validation: a runnable campaign has a non-empty grid of
     /// rates in [0, 100] % of FLOPs, positive trials (campaign default and
     /// every job override), at least one job, and distinct job labels.
-    /// (Workload names are checked against the registry at resolution
-    /// time, since only the daemon knows its registry.)
+    /// (Workload names are checked against a registry separately, before
+    /// the daemon accepts a submit or a run resolves its jobs, since only
+    /// the caller knows its registry.)
     pub fn validate(&self) -> Result<(), String> {
         if self.rates_pct.is_empty() {
             return Err("campaign needs a non-empty rate or voltage grid".to_string());

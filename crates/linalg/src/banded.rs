@@ -8,7 +8,7 @@
 //! `O(t · band)`.
 
 use crate::error::LinalgError;
-use crate::kernels::for_nonzero_runs;
+use crate::kernels::nonzero_runs;
 use crate::matrix::Matrix;
 use stochastic_fpu::Fpu;
 
@@ -36,6 +36,10 @@ pub struct BandedMatrix {
     /// `diags[d][i]` is the entry at `(i + d, i)`: diagonal `d` below the
     /// main diagonal, which has `n - d` entries.
     diags: Vec<Vec<f64>>,
+    /// `runs[d]` lists the maximal runs `(start, end)` of non-zero entries
+    /// of `diags[d]`, in ascending order. Found whenever a diagonal is
+    /// written, so products never rescan the band.
+    runs: Vec<Vec<(usize, usize)>>,
 }
 
 impl BandedMatrix {
@@ -48,7 +52,12 @@ impl BandedMatrix {
         assert!(n > 0, "matrix dimension must be positive");
         assert!(band < n, "bandwidth {band} must be below dimension {n}");
         let diags = (0..=band).map(|d| vec![0.0; n - d]).collect();
-        BandedMatrix { n, band, diags }
+        BandedMatrix {
+            n,
+            band,
+            diags,
+            runs: vec![Vec::new(); band + 1],
+        }
     }
 
     /// Builds the `n × n` convolution (Toeplitz) matrix of the tap vector
@@ -71,6 +80,7 @@ impl BandedMatrix {
             for v in &mut m.diags[d] {
                 *v = t;
             }
+            m.runs[d] = nonzero_runs(&m.diags[d]);
         }
         Ok(m)
     }
@@ -99,7 +109,8 @@ impl BandedMatrix {
         }
     }
 
-    /// Sets entry `(i, j)`.
+    /// Sets entry `(i, j)` and finds the non-zero runs of its diagonal
+    /// again, in `O(n)`.
     ///
     /// # Panics
     ///
@@ -111,7 +122,9 @@ impl BandedMatrix {
             "index ({i}, {j}) outside the band of width {}",
             self.band
         );
-        self.diags[i - j][j] = value;
+        let d = i - j;
+        self.diags[d][j] = value;
+        self.runs[d] = nonzero_runs(&self.diags[d]);
     }
 
     /// Banded matrix–vector product `M x` through the FPU in
@@ -128,18 +141,18 @@ impl BandedMatrix {
             ));
         }
         let mut y = vec![0.0; self.n];
-        for (d, diag) in self.diags.iter().enumerate() {
+        for (d, (diag, runs)) in self.diags.iter().zip(&self.runs).enumerate() {
             // Batched per maximal run of non-zero diagonal entries: the
             // historical loop skipped zero entries one by one, so the runs
             // (and the FLOP sequence) are preserved exactly while the
             // fault-free stretches execute as tight fma loops.
-            for_nonzero_runs(diag, |start, end| {
+            for &(start, end) in runs {
                 fpu.fma_batch(
                     &diag[start..end],
                     &x[start..end],
                     &mut y[start + d..end + d],
                 );
-            });
+            }
         }
         Ok(y)
     }
@@ -157,14 +170,14 @@ impl BandedMatrix {
             ));
         }
         let mut x = vec![0.0; self.n];
-        for (d, diag) in self.diags.iter().enumerate() {
-            for_nonzero_runs(diag, |start, end| {
+        for (d, (diag, runs)) in self.diags.iter().zip(&self.runs).enumerate() {
+            for &(start, end) in runs {
                 fpu.fma_batch(
                     &diag[start..end],
                     &y[start + d..end + d],
                     &mut x[start..end],
                 );
-            });
+            }
         }
         Ok(x)
     }

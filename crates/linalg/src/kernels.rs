@@ -6,24 +6,26 @@
 use crate::error::LinalgError;
 use stochastic_fpu::Fpu;
 
-/// Invokes `f(start, end)` for every maximal run of consecutive non-zero
-/// entries of `v`.
+/// The maximal runs `(start, end)` of consecutive non-zero entries of `v`,
+/// in ascending order.
 ///
-/// This is the segmentation that lets sparse-aware inner loops (banded
-/// diagonals, constraint rows) batch through the FPU fast path while
-/// preserving their historical "skip zero entries one by one" FLOP
-/// sequence exactly — zero entries never reach the FPU, exactly as before.
+/// This is the one definition of a run: the segmentation that lets
+/// sparse-aware inner loops (banded diagonals, constraint rows) batch
+/// through the FPU fast path while preserving their historical "skip zero
+/// entries one by one" FLOP sequence exactly — zero entries never reach
+/// the FPU. The runs are found when a matrix is built (and, for a
+/// [`BandedMatrix`](crate::BandedMatrix), again for the one diagonal a
+/// `set` writes) and stored, so no product rescans its entries.
 ///
 /// # Examples
 ///
 /// ```
-/// use robustify_linalg::for_nonzero_runs;
+/// use robustify_linalg::nonzero_runs;
 ///
-/// let mut runs = Vec::new();
-/// for_nonzero_runs(&[0.0, 1.0, 2.0, 0.0, 3.0], |s, e| runs.push((s, e)));
-/// assert_eq!(runs, vec![(1, 3), (4, 5)]);
+/// assert_eq!(nonzero_runs(&[0.0, 1.0, 2.0, 0.0, 3.0]), vec![(1, 3), (4, 5)]);
 /// ```
-pub fn for_nonzero_runs(v: &[f64], mut f: impl FnMut(usize, usize)) {
+pub fn nonzero_runs(v: &[f64]) -> Vec<(usize, usize)> {
+    let mut runs = Vec::new();
     let mut j = 0;
     while j < v.len() {
         if v[j] == 0.0 {
@@ -34,9 +36,10 @@ pub fn for_nonzero_runs(v: &[f64], mut f: impl FnMut(usize, usize)) {
         while end < v.len() && v[end] != 0.0 {
             end += 1;
         }
-        f(j, end);
+        runs.push((j, end));
         j = end;
     }
+    runs
 }
 
 fn check_equal_len(a: &[f64], b: &[f64]) -> Result<(), LinalgError> {

@@ -55,7 +55,7 @@ mod triangular;
 pub use banded::BandedMatrix;
 pub use cholesky::{lstsq_cholesky, CholeskyFactorization};
 pub use error::LinalgError;
-pub use kernels::{add_assign, axpy, dot, for_nonzero_runs, norm2, norm2_sq, scale, sub_vec};
+pub use kernels::{add_assign, axpy, dot, nonzero_runs, norm2, norm2_sq, scale, sub_vec};
 pub use matrix::Matrix;
 pub use operator::LinearOperator;
 pub use qr::{lstsq_qr, QrFactorization};

@@ -20,7 +20,7 @@
 //!
 //! Zero-skips are preserved by *storage*: CSR only stores nonzeros, so a
 //! zero entry never reaches the FPU — the sparse analogue of the
-//! [`for_nonzero_runs`](crate::for_nonzero_runs) segmentation the banded
+//! [`nonzero_runs`](crate::nonzero_runs) segmentation the banded
 //! layer uses. At rate 0 the product over the stored entries agrees with
 //! the dense [`Matrix::matvec`] over the same data.
 
